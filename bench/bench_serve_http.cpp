@@ -494,7 +494,7 @@ int main(int argc, char** argv) {
               "bench: request conservation violated");
     const obs::MetricsSnapshot snap = engine->registry().snapshot();
     check_arg(snap.counter("kv/acquired") == snap.counter("kv/released"),
-              "bench: KV slots leaked across drain");
+              "bench: KV sequences leaked across drain");
   }
 
   const std::string json_path =

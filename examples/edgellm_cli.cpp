@@ -11,9 +11,8 @@
 //   edgellm_cli generate --in adapted.bin [--tokens 24] [--temp 0.7] [--shift 0.6]
 //   edgellm_cli serve    --in adapted.bin [--requests FILE|-] [--threads 2]
 //                        [--batch 8] [--queue 64] [--kv-budget BYTES]
-//                        [--quantize-kv 0|1] [--kv-paged 0|1]
-//                        [--kv-block-tokens N] [--speculative-depth L]
-//                        [--draft-k K] [--metrics out.csv]
+//                        [--quantize-kv 0|1] [--kv-block-tokens N]
+//                        [--speculative-depth L] [--draft-k K] [--metrics out.csv]
 //                        [--listen host:port] [--max-connections N]
 //                        [--idle-timeout-ms MS]
 //
@@ -250,7 +249,6 @@ int cmd_serve(const std::map<std::string, std::string>& args) {
   ecfg.queue_capacity = static_cast<int64_t>(get_num(args, "queue", 64));
   ecfg.kv_byte_budget = static_cast<int64_t>(get_num(args, "kv-budget", 0));
   ecfg.quantize_kv = get_num(args, "quantize-kv", 0) != 0;
-  ecfg.kv_paged = get_num(args, "kv-paged", 0) != 0;
   ecfg.kv_block_tokens = static_cast<int64_t>(get_num(args, "kv-block-tokens", 16));
   ecfg.pack_compressed_weights = get_num(args, "packed-weights", 0) != 0;
   // Carry the global --fast-math choice through the engine (its ctor
@@ -410,8 +408,7 @@ int usage() {
                "  generate --in FILE [--tokens N] [--temp T] [--topk K] [--shift F]\n"
                "  serve    --in FILE [--requests FILE|-] [--threads N] [--batch B]\n"
                "           [--queue Q] [--kv-budget BYTES] [--quantize-kv 0|1]\n"
-               "           [--kv-paged 0|1] [--kv-block-tokens N]\n"
-               "           [--speculative-depth L] [--draft-k K]\n"
+               "           [--kv-block-tokens N] [--speculative-depth L] [--draft-k K]\n"
                "           [--metrics CSV] [--metrics-out JSON] [--schedule-cache FILE]\n"
                "           [--packed-weights 0|1]\n"
                "           [--shed-policy reject|drop-lowest|degrade]\n"

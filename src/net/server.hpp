@@ -20,7 +20,7 @@
 //     pauses *its own* stream (tokens wait in a per-request deque of
 //     int64s, capped by max_new_tokens); the decode batch never stalls.
 //   - disconnects cancel: a mid-stream hangup cancels the request through
-//     the engine's PR-6 cancel path, freeing its KV slot at the next tick.
+//     the engine's cancel path, freeing its KV at the next tick.
 //   - overload at the socket: past max_connections new peers get an
 //     immediate 503 and close, never an unbounded accept backlog.
 //

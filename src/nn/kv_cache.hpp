@@ -2,9 +2,9 @@
 // int8-quantized (symmetric, one scale per cached row — the edge-standard
 // 4x KV compression).
 //
-// Extracted from IncrementalDecoder so the serving layer (src/serve) can
-// pool many sequences' caches behind one global byte budget: a KvCache is
-// exactly the unit a serve::KvCachePool hands out per slot.
+// The contiguous store behind IncrementalDecoder and single-sequence
+// decode — the reference the serving engine's paged storage is
+// differentially tested against.
 //
 // KvSequenceView is the row-addressed interface the decode path reads and
 // writes through. Attention never assumes contiguous storage — it asks for

@@ -1,6 +1,10 @@
 #include "nn/serialize.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <array>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -166,6 +170,16 @@ void save_state_dict(const std::map<std::string, Tensor>& state, const std::stri
       throw std::runtime_error("checkpoint write failed: " + tmp);
     }
   }
+  // Durable commit: the bytes reach the disk before the rename publishes
+  // them, and the directory entry after it — otherwise a power cut can
+  // leave an empty file under the final name.
+  try {
+    fsync_path(tmp);
+  } catch (...) {
+    std::error_code rm_ec;
+    std::filesystem::remove(tmp, rm_ec);
+    throw;
+  }
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
@@ -173,6 +187,23 @@ void save_state_dict(const std::map<std::string, Tensor>& state, const std::stri
     std::filesystem::remove(tmp, rm_ec);
     throw std::runtime_error("cannot commit checkpoint " + path + ": " + ec.message());
   }
+  fsync_parent_dir(path);
+}
+
+void fsync_path(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    throw std::runtime_error("cannot open for fsync: " + path + ": " + std::strerror(errno));
+  }
+  const int rc = ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (rc != 0) throw std::runtime_error("fsync failed: " + path + ": " + std::strerror(err));
+}
+
+void fsync_parent_dir(const std::string& path) {
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  fsync_path(dir.empty() ? std::string(".") : dir.string());
 }
 
 std::map<std::string, Tensor> load_state_dict_file(const std::string& path) {

@@ -5,9 +5,10 @@
 // host order (the reproduction targets a single host).
 //
 // Version 2 (current writer) appends a CRC-32 footer over everything that
-// precedes it, and save_state_dict commits atomically (temp file + rename),
-// so a power cut mid-write never leaves a half-checkpoint under the final
-// name and bit rot is detected at load instead of silently loading garbage.
+// precedes it, and save_state_dict commits atomically and durably (fsync
+// the temp file, rename, fsync the directory), so a power cut mid-write
+// never leaves a half-checkpoint under the final name and bit rot is
+// detected at load instead of silently loading garbage.
 // Version 1 files (no footer) are still readable.
 #pragma once
 
@@ -26,8 +27,16 @@ uint32_t crc32(const void* data, size_t len, uint32_t seed = 0);
 
 /// Writes a state dict to `path` atomically (temp file + rename) with a
 /// CRC-32 footer; throws std::runtime_error on I/O failure. No partial or
-/// torn file is ever visible at `path`.
+/// torn file is ever visible at `path`, and once it returns the file and
+/// its directory entry are on stable storage (both fsync'd).
 void save_state_dict(const std::map<std::string, Tensor>& state, const std::string& path);
+
+/// fsyncs the file or directory at `path`; throws std::runtime_error on
+/// failure.
+void fsync_path(const std::string& path);
+
+/// fsyncs the directory holding `path`, making a rename into it durable.
+void fsync_parent_dir(const std::string& path);
 
 /// Reads a state dict written by save_state_dict (v1 or v2). Rejects
 /// truncated, corrupted (CRC mismatch), or structurally implausible files

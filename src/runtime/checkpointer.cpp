@@ -83,6 +83,8 @@ void Checkpointer::save(const core::Snapshot& snap) {
     fs::remove(staged, rm_ec);
     throw std::runtime_error("Checkpointer: cannot commit " + final_path + ": " + ec.message());
   }
+  // The new slot must be durable before rotate() deletes older ones.
+  nn::fsync_parent_dir(final_path);
   ++saves_;
   rotate();
 }

@@ -1,8 +1,11 @@
 // On-disk crash-safe snapshot store (the robustness tentpole).
 //
 // Slot files (ckpt-<iter>.ellm) are ELLM v2 checkpoints: CRC-32 footer,
-// written to a temp name and renamed into place, so a power cut mid-save
-// can never tear a committed slot. A keep-N rotation bounds disk use, and
+// written to a temp name, fsync'd and renamed into place, so a power cut
+// mid-save can never tear a committed slot. The directory is fsync'd after
+// the rename, before rotation deletes older slots, so a power cut can
+// never leave the newest slot missing with the older ones already gone.
+// A keep-N rotation bounds disk use, and
 // load_latest() walks slots newest-first, skipping any that fail CRC or
 // structural validation — one flipped byte costs one rotation slot, not
 // the run.

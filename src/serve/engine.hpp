@@ -55,15 +55,14 @@ struct EngineConfig {
   /// deterministic reference — leave off when reproducibility matters.
   /// The engine applies this to the global ops::gemm flag at construction.
   bool fast_math = false;
-  int64_t kv_byte_budget = 0;   ///< global KV cache cap in bytes; 0 = unlimited
-  bool quantize_kv = false;     ///< int8 pooled caches
-  /// Paged KV storage (serve::PagedKvPool): block-granular admission under
-  /// the same byte budget, with cross-request prefix reuse — a request
-  /// whose prompt prefix matches a finished sequence's cached blocks skips
-  /// prefilling those positions. Greedy completions are byte-identical to
-  /// the slot pool. Off by default.
-  bool kv_paged = false;
-  int64_t kv_block_tokens = 16;  ///< paged only: positions per KV block
+  /// Global KV cap in bytes (serve::PagedKvPool: block-granular admission
+  /// with cross-request prefix reuse — a request whose prompt prefix
+  /// matches a finished sequence's cached blocks skips prefilling those
+  /// positions). 0 = admission never rejects on bytes; the prefix cache is
+  /// then bounded by max_batch full-context sequences.
+  int64_t kv_byte_budget = 0;
+  bool quantize_kv = false;      ///< int8 KV blocks
+  int64_t kv_block_tokens = 16;  ///< positions per KV block
   /// Max prompt tokens a prefilling sequence advances per scheduler tick
   /// (chunked prefill). 1 = classic one-token ticks; higher values reach
   /// the first sampled token in fewer ticks by running prompt-only

@@ -8,140 +8,12 @@
 
 namespace edgellm::serve {
 
-KvCachePool::KvCachePool(KvPoolConfig cfg) : cfg_(cfg) {
-  check_arg(cfg_.n_slots > 0, "KvCachePool: n_slots must be positive");
-  check_arg(cfg_.kv_dim > 0, "KvCachePool: kv_dim must be positive");
-  check_arg(cfg_.byte_budget >= 0, "KvCachePool: byte_budget must be >= 0");
-  slots_.resize(static_cast<size_t>(cfg_.n_slots));
-  in_use_.assign(static_cast<size_t>(cfg_.n_slots), false);
-  reserved_.assign(static_cast<size_t>(cfg_.n_slots), 0);
-  live_bytes_.assign(static_cast<size_t>(cfg_.n_slots), 0);
-  if (cfg_.registry != nullptr) {
-    c_acquired_ = &cfg_.registry->counter("kv/acquired");
-    c_rejected_ = &cfg_.registry->counter("kv/rejected");
-    c_released_ = &cfg_.registry->counter("kv/released");
-    g_bytes_ = &cfg_.registry->gauge("kv/bytes_in_use");
-    g_committed_ = &cfg_.registry->gauge("kv/committed_bytes");
-    g_high_water_ = &cfg_.registry->gauge("kv/high_water_bytes");
-  }
-}
-
 const char* to_string(KvAdmitReason r) {
   switch (r) {
     case KvAdmitReason::kOk: return "ok";
     case KvAdmitReason::kByteBudget: return "kv: byte budget exceeded";
-    case KvAdmitReason::kSlotsExhausted: return "kv: slots exhausted";
   }
   return "unknown";
-}
-
-int64_t KvCachePool::acquire(int64_t projected_positions, int64_t n_layers,
-                             KvAdmitReason* reason) {
-  check_arg(projected_positions > 0 && n_layers > 0,
-            "KvCachePool::acquire: positions and layers must be positive");
-  const int64_t projected = projected_bytes(projected_positions, n_layers);
-  if (reason != nullptr) *reason = KvAdmitReason::kOk;
-  std::lock_guard<std::mutex> lk(mu_);
-  if (cfg_.byte_budget > 0 && committed_ + projected > cfg_.byte_budget) {
-    if (c_rejected_ != nullptr) c_rejected_->add();
-    if (reason != nullptr) *reason = KvAdmitReason::kByteBudget;
-    return -1;
-  }
-  for (int64_t i = 0; i < cfg_.n_slots; ++i) {
-    if (in_use_[static_cast<size_t>(i)]) continue;
-    in_use_[static_cast<size_t>(i)] = true;
-    reserved_[static_cast<size_t>(i)] = projected;
-    committed_ += projected;
-    ++in_use_count_;
-    slots_[static_cast<size_t>(i)].configure(n_layers, cfg_.kv_dim, cfg_.quantize);
-    if (c_acquired_ != nullptr) c_acquired_->add();
-    if (g_committed_ != nullptr) g_committed_->set(committed_);
-    return i;
-  }
-  if (c_rejected_ != nullptr) c_rejected_->add();
-  if (reason != nullptr) *reason = KvAdmitReason::kSlotsExhausted;
-  return -1;
-}
-
-void KvCachePool::release(int64_t slot) {
-  check_arg(slot >= 0 && slot < cfg_.n_slots, "KvCachePool::release: slot out of range");
-  const size_t s = static_cast<size_t>(slot);
-  std::lock_guard<std::mutex> lk(mu_);
-  check_arg(in_use_[s], "KvCachePool::release: slot is not in use");
-  in_use_[s] = false;
-  committed_ -= reserved_[s];
-  reserved_[s] = 0;
-  // A slot can grow and die entirely between two sync_live_bytes() barriers,
-  // leaving live_bytes_[s] stale (or zero). Settle its final footprint into
-  // the totals before dropping it so bytes_in_use() never under-reports
-  // between a release and the next barrier and the high-water mark sees
-  // short-lived slots. Reading the slot's contents here is legal: release
-  // runs on the scheduler thread at a tick barrier (see header).
-  const int64_t final_bytes = slots_[s].bytes();
-  live_total_ += final_bytes - live_bytes_[s];
-  high_water_ = std::max(high_water_, live_total_);
-  live_total_ -= final_bytes;
-  live_bytes_[s] = 0;
-  --in_use_count_;
-  // Drop the storage now: a released slot must not count against the
-  // device's memory until re-acquired.
-  slots_[s] = nn::KvCache();
-  if (c_released_ != nullptr) c_released_->add();
-  if (g_bytes_ != nullptr) g_bytes_->set(live_total_);
-  if (g_committed_ != nullptr) g_committed_->set(committed_);
-  if (g_high_water_ != nullptr) g_high_water_->set(high_water_);
-}
-
-nn::KvCache& KvCachePool::slot(int64_t id) {
-  std::lock_guard<std::mutex> lk(mu_);
-  check_arg(id >= 0 && id < cfg_.n_slots && in_use_[static_cast<size_t>(id)],
-            "KvCachePool::slot: not an acquired slot");
-  // The reference stays valid after unlocking: slots_ is sized once at
-  // construction and an acquired slot is owned by its caller until release.
-  return slots_[static_cast<size_t>(id)];
-}
-
-const nn::KvCache& KvCachePool::slot(int64_t id) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  check_arg(id >= 0 && id < cfg_.n_slots && in_use_[static_cast<size_t>(id)],
-            "KvCachePool::slot: not an acquired slot");
-  return slots_[static_cast<size_t>(id)];
-}
-
-int64_t KvCachePool::sync_live_bytes() {
-  // Reads slot contents: legal only on the owning scheduler thread at a
-  // tick barrier, when no worker can be appending (see header).
-  std::lock_guard<std::mutex> lk(mu_);
-  int64_t total = 0;
-  for (size_t s = 0; s < slots_.size(); ++s) {
-    live_bytes_[s] = in_use_[s] ? slots_[s].bytes() : 0;
-    total += live_bytes_[s];
-  }
-  live_total_ = total;
-  high_water_ = std::max(high_water_, total);
-  if (g_bytes_ != nullptr) g_bytes_->set(live_total_);
-  if (g_high_water_ != nullptr) g_high_water_->set(high_water_);
-  return total;
-}
-
-int64_t KvCachePool::bytes_in_use() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return live_total_;
-}
-
-int64_t KvCachePool::committed_bytes() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return committed_;
-}
-
-int64_t KvCachePool::high_water_bytes() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return high_water_;
-}
-
-int64_t KvCachePool::slots_in_use() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return in_use_count_;
 }
 
 // --- Paged pool -------------------------------------------------------------
@@ -163,7 +35,8 @@ struct PagedKvPool::TrieNode {
 namespace {
 
 /// Identical arithmetic to KvCache::append_quantized — the bitwise
-/// determinism contract between paged and contiguous storage depends on it.
+/// determinism contract against the contiguous reference decoder depends
+/// on it.
 void quantize_row(const float* row, int64_t kv_dim, int8_t* out, float* scale_out) {
   float maxabs = 0.0f;
   for (int64_t d = 0; d < kv_dim; ++d) maxabs = std::max(maxabs, std::fabs(row[d]));
@@ -197,7 +70,7 @@ void PagedKvSeq::append(int64_t layer, const float* k, const float* v) {
     // (quantized payload and scales verbatim, so dequantisation stays
     // bitwise identical) into a private block that takes its table entry.
     KvBlock* shared = row[static_cast<size_t>(bi)];
-    KvBlock* own = pool_->allocate_block(this);
+    KvBlock* own = pool_->allocate_block();
     if (quantize_) {
       std::memcpy(own->kq.data(), shared->kq.data(), static_cast<size_t>(off * kv_dim_));
       std::memcpy(own->vq.data(), shared->vq.data(), static_cast<size_t>(off * kv_dim_));
@@ -216,7 +89,7 @@ void PagedKvSeq::append(int64_t layer, const float* k, const float* v) {
     ++cow_forks_;
     pool_->count_cow_fork();
   } else if (bi == static_cast<int64_t>(row.size())) {
-    row.push_back(pool_->allocate_block(this));
+    row.push_back(pool_->allocate_block());
   }
   KvBlock* blk = row[static_cast<size_t>(bi)];
   if (quantize_) {
@@ -291,13 +164,18 @@ int64_t PagedKvSeq::bytes() const {
 
 // --- PagedKvPool ------------------------------------------------------------
 
-PagedKvPool::PagedKvPool(PagedKvConfig cfg) : cfg_(cfg) {
+PagedKvPool::PagedKvPool(KvPoolConfig cfg) : cfg_(cfg) {
   check_arg(cfg_.block_tokens > 0, "PagedKvPool: block_tokens must be positive");
   check_arg(cfg_.n_layers > 0, "PagedKvPool: n_layers must be positive");
   check_arg(cfg_.kv_dim > 0, "PagedKvPool: kv_dim must be positive");
+  check_arg(cfg_.max_seqs > 0 && cfg_.max_seq > 0,
+            "PagedKvPool: max_seqs and max_seq must be positive");
+  // A budget below one block is legal: every acquire then fails with
+  // kByteBudget, and the engine rejects such requests at submit.
   check_arg(cfg_.byte_budget >= 0, "PagedKvPool: byte_budget must be >= 0");
-  check_arg(cfg_.byte_budget == 0 || cfg_.byte_budget >= block_bytes(),
-            "PagedKvPool: byte_budget smaller than one block");
+  limit_bytes_ = cfg_.byte_budget > 0
+                     ? cfg_.byte_budget
+                     : cfg_.max_seqs * projected_bytes(cfg_.max_seq, cfg_.n_layers);
   root_ = std::make_unique<TrieNode>();
   if (cfg_.registry != nullptr) {
     c_acquired_ = &cfg_.registry->counter("kv/acquired");
@@ -394,16 +272,15 @@ bool PagedKvPool::evict_one_locked() {
 
 KvBlock* PagedKvPool::allocate_block_locked() {
   const int64_t bb = block_bytes();
-  if (cfg_.byte_budget > 0) {
-    while ((allocated_blocks_ + 1) * bb > cfg_.byte_budget && evict_one_locked()) {
-    }
-    // Admission reserved every live sequence's worst-case incremental blocks
-    // and counted pinned shared blocks, so once the evictable cache is gone
-    // the budget must fit — anything else is an accounting bug, not a
-    // recoverable condition.
-    check_arg((allocated_blocks_ + 1) * bb <= cfg_.byte_budget,
-              "PagedKvPool: block allocation exceeded the byte budget (reservation bug)");
+  while ((allocated_blocks_ + 1) * bb > limit_bytes_ && evict_one_locked()) {
   }
+  // Under a budget, admission reserved every live sequence's worst-case
+  // incremental blocks and counted pinned shared blocks, so once the
+  // evictable cache is gone the budget must fit — anything else is an
+  // accounting bug, not a recoverable condition. Without one the limit only
+  // bounds the cache: live sequences always get their block.
+  check_arg(cfg_.byte_budget == 0 || (allocated_blocks_ + 1) * bb <= cfg_.byte_budget,
+            "PagedKvPool: block allocation exceeded the byte budget (reservation bug)");
   KvBlock* b = nullptr;
   if (!free_.empty()) {
     b = free_.back();
@@ -429,8 +306,7 @@ KvBlock* PagedKvPool::allocate_block_locked() {
   return b;
 }
 
-KvBlock* PagedKvPool::allocate_block(PagedKvSeq* seq) {
-  (void)seq;  // reservation made at acquire; the seq identity is not needed
+KvBlock* PagedKvPool::allocate_block() {
   std::lock_guard<std::mutex> lk(mu_);
   KvBlock* b = allocate_block_locked();
   update_gauges_locked();
@@ -517,26 +393,42 @@ PagedKvPool::AcquireResult PagedKvPool::acquire(const std::vector<int64_t>& prom
       partial = child.get();
     }
   }
-  const int64_t prefix_tokens = matched + partial_len;
 
   // Admission: reserve worst-case *incremental* blocks (total projected
   // minus fully shared — a partially shared block still needs an owned
   // copy-on-write replacement), and account shared blocks this request
-  // newly pins so a later admission cannot strand an allocation.
-  int64_t pin_delta = 0;
-  for (TrieNode* p : path) {
-    if (p->refs == 0) pin_delta += node_bytes_locked(*p);
+  // newly pins so a later admission cannot strand an allocation. Pinning
+  // an unreferenced cached node costs its full depth, which can exceed
+  // what the match saves (a partial block, or a node deeper than this
+  // sequence). When the pin is what breaks the budget, shorten the match
+  // from its tail — partial block first — down to a cold admission:
+  // unreferenced cache is only evicted by allocation, so rejecting here
+  // would bounce the request forever on an otherwise idle pool.
+  int64_t reserve = 0;
+  for (;;) {
+    int64_t pin_delta = 0;
+    for (TrieNode* p : path) {
+      if (p->refs == 0) pin_delta += node_bytes_locked(*p);
+    }
+    if (partial != nullptr && partial->refs == 0) pin_delta += node_bytes_locked(*partial);
+    reserve = (ceil_div(projected_positions, bt) - static_cast<int64_t>(path.size())) *
+              n_layers * bb;
+    if (cfg_.byte_budget == 0 ||
+        committed_ + pinned_bytes_ + pin_delta + reserve <= cfg_.byte_budget) {
+      break;
+    }
+    if (partial != nullptr) {
+      partial = nullptr;
+      partial_len = 0;
+    } else if (!path.empty()) {
+      path.pop_back();
+    } else {
+      if (c_rejected_ != nullptr) c_rejected_->add();
+      res.reason = KvAdmitReason::kByteBudget;
+      return res;
+    }
   }
-  if (partial != nullptr && partial->refs == 0) pin_delta += node_bytes_locked(*partial);
-  const int64_t owned_per_layer = ceil_div(projected_positions, bt) -
-                                  static_cast<int64_t>(path.size());
-  const int64_t reserve = owned_per_layer * n_layers * bb;
-  if (cfg_.byte_budget > 0 &&
-      committed_ + pinned_bytes_ + pin_delta + reserve > cfg_.byte_budget) {
-    if (c_rejected_ != nullptr) c_rejected_->add();
-    res.reason = KvAdmitReason::kByteBudget;
-    return res;
-  }
+  const int64_t prefix_tokens = static_cast<int64_t>(path.size()) * bt + partial_len;
 
   auto seq = std::unique_ptr<PagedKvSeq>(new PagedKvSeq());
   seq->pool_ = this;
@@ -665,8 +557,12 @@ void PagedKvPool::release(PagedKvSeq* seq, const std::vector<int64_t>& tokens, b
   update_gauges_locked();
 }
 
+int64_t PagedKvPool::live_bytes_locked() const {
+  return (allocated_blocks_ - cached_blocks_) * block_bytes() + pinned_bytes_;
+}
+
 void PagedKvPool::update_gauges_locked() {
-  if (g_bytes_ != nullptr) g_bytes_->set(allocated_blocks_ * block_bytes());
+  if (g_bytes_ != nullptr) g_bytes_->set(live_bytes_locked());
   if (g_committed_ != nullptr) g_committed_->set(committed_ + pinned_bytes_);
   if (g_high_water_ != nullptr) g_high_water_->set(high_water_);
   if (g_blocks_ != nullptr) g_blocks_->set(allocated_blocks_);
@@ -680,7 +576,7 @@ int64_t PagedKvPool::committed_bytes() const {
 
 int64_t PagedKvPool::bytes_in_use() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return allocated_blocks_ * block_bytes();
+  return live_bytes_locked();
 }
 
 int64_t PagedKvPool::high_water_bytes() const {
@@ -711,12 +607,6 @@ int64_t PagedKvPool::free_blocks() const {
 int64_t PagedKvPool::total_blocks() const {
   std::lock_guard<std::mutex> lk(mu_);
   return static_cast<int64_t>(blocks_.size());
-}
-
-int64_t PagedKvPool::sync_live_bytes() {
-  std::lock_guard<std::mutex> lk(mu_);
-  update_gauges_locked();
-  return allocated_blocks_ * block_bytes();
 }
 
 }  // namespace edgellm::serve

@@ -46,11 +46,9 @@ struct SeqState {
   int64_t exit_layer = 0;
   bool degraded = false;       ///< ladder moved this request off its ask
   bool force_degrade = false;  ///< shed policy kDegradeEarlyExit marked it at submit
-  int64_t slot = -1;            ///< KvCachePool slot (slot pool only)
-  /// This sequence's cache view, set at admission: the acquired slot's
-  /// KvCache, or the paged sequence. The engine decodes through this.
-  nn::KvSequenceView* kv = nullptr;
-  PagedKvSeq* pseq = nullptr;   ///< paged pool only (owned by the pool)
+  /// This sequence's KV cache, set at admission and owned by the pool.
+  /// The engine decodes through it.
+  PagedKvSeq* kv = nullptr;
   int64_t exit_layer_used = 0;  ///< resolved depth (n_layers for final/voted)
   int64_t position = 0;         ///< tokens cached so far
   size_t prompt_fed = 0;        ///< prompt tokens fed so far
@@ -130,6 +128,8 @@ class Scheduler {
     int64_t retries = 0;   ///< failed transient admission attempts at this scan
   };
 
+  /// The scheduler sets the pool's n_layers, max_seqs and max_seq from
+  /// `cfg`; the caller supplies the rest of `pool_cfg`.
   Scheduler(SchedulerConfig cfg, KvPoolConfig pool_cfg);
 
   /// Queues a request. Moves from `s` and returns true, or returns false
@@ -157,13 +157,12 @@ class Scheduler {
   /// barrier. Returns nullptr + sets `found` accordingly.
   std::unique_ptr<SeqState> cancel(int64_t id, bool* found);
 
-  /// Removes an active sequence (slot released) and returns its state for
-  /// completion. `reuse` donates the sequence's cached rows to the paged
-  /// pool's prefix cache — pass true only for terminals whose cache
-  /// contents are trusted (completed/cancelled/timed-out at a barrier),
-  /// never for a sequence retired after a decode failure: its appends may
-  /// be torn mid-layer and must be recycled, not shared (the slot pool
-  /// drops storage either way).
+  /// Removes an active sequence (KV released) and returns its state for
+  /// completion. `reuse` donates the sequence's cached rows to the pool's
+  /// prefix cache — pass true only for terminals whose cache contents are
+  /// trusted (completed/cancelled/timed-out at a barrier), never for a
+  /// sequence retired after a decode failure: its appends may be torn
+  /// mid-layer and must be recycled, not shared.
   std::unique_ptr<SeqState> finish(size_t active_index, bool reuse);
 
   /// Earliest retry_after among queued requests still in backoff, or the
@@ -173,33 +172,20 @@ class Scheduler {
 
   /// Watchdog failure path: applies `fn` to every queued and active
   /// sequence so the engine can resolve their promises in place. Ownership
-  /// and slots are untouched — a wedged decode may still be writing into
+  /// and KV are untouched — a wedged decode may still be writing into
   /// active caches.
   void for_each_pending(const std::function<void(SeqState&)>& fn);
 
   /// Failed-stop cleanup, called once the wedged decode has returned:
-  /// releases every active slot and destroys all queued/active state.
+  /// releases every active sequence's KV and destroys all queued/active
+  /// state.
   /// Every promise must already be resolved (see for_each_pending).
   void clear_failed();
 
   std::vector<std::unique_ptr<SeqState>>& active() { return active_; }
-  /// The slot pool — asserts when the scheduler was configured paged (use
-  /// the kv_* facade below, which works for both backings).
-  KvCachePool& pool();
-  const KvCachePool& pool() const;
-  bool paged() const { return paged_pool_ != nullptr; }
-  PagedKvPool* paged_pool() { return paged_pool_.get(); }
-  const PagedKvPool* paged_pool() const { return paged_pool_.get(); }
-
-  // Pool-agnostic KV accounting facade (mutex-guarded in the pools; safe
-  // from any thread).
-  int64_t kv_committed_bytes() const;
-  int64_t kv_bytes_in_use() const;
-  int64_t kv_high_water_bytes() const;
-  int64_t kv_byte_budget() const;
-  int64_t kv_projected_bytes(int64_t positions, int64_t n_layers) const;
-  /// Tick-barrier accounting refresh (see KvCachePool::sync_live_bytes).
-  int64_t kv_sync_live_bytes();
+  /// The KV pool (its accounting accessors are safe from any thread).
+  PagedKvPool& kv_pool() { return pool_; }
+  const PagedKvPool& kv_pool() const { return pool_; }
 
   size_t queued() const { return queue_.size(); }
   bool idle() const { return active_.empty() && queue_.empty(); }
@@ -210,13 +196,12 @@ class Scheduler {
   /// downgraded it (first transition only).
   static bool apply_degrade(SeqState& s, int level, const DegradeLadder& ladder);
 
-  /// Paged release: hand the cached rows back with the token ids they hold
-  /// (`reuse` donates them to the prefix cache).
-  void release_paged(SeqState& s, bool reuse);
+  /// Hands the cached rows back with the token ids they hold (`reuse`
+  /// donates them to the prefix cache).
+  void release_kv(SeqState& s, bool reuse);
 
   SchedulerConfig cfg_;
-  std::unique_ptr<KvCachePool> slot_pool_;
-  std::unique_ptr<PagedKvPool> paged_pool_;
+  PagedKvPool pool_;
   std::deque<std::unique_ptr<SeqState>> queue_;
   std::vector<std::unique_ptr<SeqState>> active_;
 };

@@ -45,15 +45,12 @@ int64_t row_grain(int64_t ops_per_row) {
 // zero-initialised by the caller. Loop order (i,p,j) keeps the B and C
 // accesses sequential and fixes the per-element accumulation order (over
 // ascending p), so any row partition is bitwise identical to the serial
-// pass. `skip_zero_a` enables the sparsity fast path that skips a[i,p] ==
-// 0 — see matmul_skipzero for the numerics contract.
-template <bool skip_zero_a>
+// pass.
 void gemm_nn_rows(const float* a, const float* b, float* c, int64_t lo, int64_t hi, int64_t k,
                   int64_t n) {
   for (int64_t i = lo; i < hi; ++i) {
     for (int64_t p = 0; p < k; ++p) {
       const float av = a[i * k + p];
-      if (skip_zero_a && av == 0.0f) continue;
       const float* brow = b + p * n;
       float* crow = c + i * n;
       for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
@@ -61,7 +58,6 @@ void gemm_nn_rows(const float* a, const float* b, float* c, int64_t lo, int64_t 
   }
 }
 
-template <bool skip_zero_a>
 Tensor matmul_impl(const Tensor& a, const Tensor& b, const char* what) {
   check_arg(a.ndim() == 2 && b.ndim() == 2, std::string(what) + ": operands must be 2-d");
   check_arg(a.dim(1) == b.dim(0), std::string(what) + ": inner dimensions differ");
@@ -73,7 +69,7 @@ Tensor matmul_impl(const Tensor& a, const Tensor& b, const char* what) {
   const float* pb = b.raw();
   float* pc = c.raw();
   parallel::parallel_for(0, m, row_grain(k * n), [=](int64_t lo, int64_t hi) {
-    gemm_nn_rows<skip_zero_a>(pa, pb, pc, lo, hi, k, n);
+    gemm_nn_rows(pa, pb, pc, lo, hi, k, n);
   });
   return c;
 }
@@ -133,11 +129,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
     return gemm::matmul_blocked(
         a, b, gemm::blocking_for(gemm::GemmKind::kNN, a.dim(0), a.dim(1), b.dim(1)));
   }
-  return matmul_impl<false>(a, b, "matmul");
-}
-
-Tensor matmul_skipzero(const Tensor& a, const Tensor& b) {
-  return matmul_impl<true>(a, b, "matmul_skipzero");
+  return matmul_impl(a, b, "matmul");
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
@@ -208,7 +200,7 @@ Tensor bmm(const Tensor& a, const Tensor& b) {
   parallel::parallel_for(0, bs * m, row_grain(k * n), [=](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) {
       const int64_t t = r / m, i = r % m;
-      gemm_nn_rows<false>(pa + t * m * k, pb + t * k * n, pc + t * m * n, i, i + 1, k, n);
+      gemm_nn_rows(pa + t * m * k, pb + t * k * n, pc + t * m * n, i, i + 1, k, n);
     }
   });
   return c;

@@ -9,8 +9,8 @@
 //
 // Numerics: the default matmul/bmm variants are IEEE-propagating — a NaN
 // or Inf in either operand always reaches the output (0 * NaN == NaN).
-// The `_skipzero` variants trade that away for a sparsity fast path; see
-// their contracts before using them.
+// bmm_tn_skipzero trades that away for a sparsity fast path; see its
+// contract before using it.
 #pragma once
 
 #include <vector>
@@ -42,20 +42,16 @@ Tensor bmm_nt(const Tensor& a, const Tensor& b);
 Tensor bmm_tn(const Tensor& a, const Tensor& b);
 
 // ---------------------------------------------------------------------------
-// Sparsity-aware matmuls (explicit opt-in fast paths)
+// Sparsity-aware matmul (explicit opt-in fast path)
 // ---------------------------------------------------------------------------
 //
-// These skip inner-loop work whenever an entry of A is exactly 0.0f, which
-// pays off when A is heavily sparse (pruned activations, causally masked
-// attention probabilities). CONTRACT: the skip breaks IEEE NaN/Inf
-// propagation — a zero in A masks a NaN/Inf at the matching position of B
-// (IEEE says 0 * NaN == NaN; these kernels yield 0). Only call them when A
-// and B are known finite, or when masking non-finite values behind pruned
-// zeros is acceptable; everywhere else use the dense variants above, which
-// always propagate.
-
-/// matmul with the zero-skip fast path on A (see contract above).
-Tensor matmul_skipzero(const Tensor& a, const Tensor& b);
+// Skips inner-loop work whenever an entry of A is exactly 0.0f, which pays
+// off when A is heavily sparse (causally masked attention probabilities).
+// CONTRACT: the skip breaks IEEE NaN/Inf propagation — a zero in A masks a
+// NaN/Inf at the matching position of B (IEEE says 0 * NaN == NaN; this
+// kernel yields 0). Only call it when A and B are known finite, or when
+// masking non-finite values behind zeros is acceptable; everywhere else use
+// the dense variants above, which always propagate.
 
 /// bmm_tn with the zero-skip fast path on A (see contract above).
 Tensor bmm_tn_skipzero(const Tensor& a, const Tensor& b);

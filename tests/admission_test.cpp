@@ -225,10 +225,7 @@ TEST(AdmissionEngine, DegradedRequestsAreDeterministicEarlyExitOutputs) {
 // degradation never upgrades.
 TEST(SchedulerDegrade, ForceDegradeAppliesAtStagingEvenWhenPressureSubsides) {
   SchedulerConfig cfg{/*max_batch=*/2, /*queue_capacity=*/4, /*max_seq=*/16, /*n_layers=*/3};
-  KvPoolConfig pool;
-  pool.n_slots = 2;
-  pool.kv_dim = 16;
-  Scheduler sched(cfg, pool);
+  Scheduler sched(cfg, KvPoolConfig{.kv_dim = 16});
   const DegradeLadder ladder{/*deep=*/2, /*shallow=*/1};
 
   auto forced = std::make_unique<SeqState>();
@@ -264,10 +261,7 @@ TEST(SchedulerDegrade, ForceDegradeAppliesAtStagingEvenWhenPressureSubsides) {
 // nothing is ever upgraded.
 TEST(SchedulerDegrade, LadderNeverUpgradesAndLevelOneUsesDeepExit) {
   SchedulerConfig cfg{/*max_batch=*/2, /*queue_capacity=*/4, /*max_seq=*/16, /*n_layers=*/3};
-  KvPoolConfig pool;
-  pool.n_slots = 2;
-  pool.kv_dim = 16;
-  Scheduler sched(cfg, pool);
+  Scheduler sched(cfg, KvPoolConfig{.kv_dim = 16});
   const DegradeLadder ladder{/*deep=*/2, /*shallow=*/1};
 
   auto final_req = std::make_unique<SeqState>();

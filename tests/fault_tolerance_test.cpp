@@ -231,6 +231,23 @@ TEST(FaultTolerance, CheckpointerFailedSaveIsAtomic) {
   EXPECT_EQ(latest->iter, 10);
 }
 
+// The durable-commit primitives behind save_state_dict and
+// Checkpointer::save: files and directories fsync, a missing path throws
+// (a save must fail loudly rather than report an unsynced commit), and a
+// bare file name syncs the working directory.
+TEST(FaultTolerance, FsyncPrimitivesSyncFilesAndDirectories) {
+  const std::string dir = fresh_dir("fsync");
+  const std::string file = dir + "/f.ellm";
+  nn::save_state_dict({{"payload", Tensor({4}, 1.0f)}}, file);
+  EXPECT_NO_THROW(nn::fsync_path(file));
+  EXPECT_NO_THROW(nn::fsync_path(dir));
+  EXPECT_NO_THROW(nn::fsync_parent_dir(file));
+  EXPECT_NO_THROW(nn::fsync_parent_dir("bare-name.ellm"));
+  EXPECT_THROW(nn::fsync_path(dir + "/missing.ellm"), std::runtime_error);
+  EXPECT_THROW(nn::fsync_parent_dir(dir + "/no-such-dir/f.ellm"), std::runtime_error);
+  EXPECT_FALSE(fs::exists(file + ".tmp"));  // the temp file was renamed away
+}
+
 TEST(FaultTolerance, CorruptedSlotFallsBackToPreviousRotation) {
   runtime::CheckpointerConfig ccfg;
   ccfg.dir = fresh_dir("fallback");

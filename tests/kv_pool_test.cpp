@@ -1,10 +1,12 @@
-// Paged KV pool: block-table row addressing must be bitwise identical to
-// contiguous KvCache storage, prefix reuse must never leak another
-// sequence's divergent rows (copy-on-write), eviction must conserve the
-// block population under budget pressure, and the serving engine over the
-// paged pool must produce byte-identical greedy output at any thread
-// count. Plus the KV-accounting regressions this change rode in with:
-// release-settled high-water marks and post-degrade admission projections.
+// The serving KV pool (PagedKvPool): block-table row addressing must be
+// bitwise identical to contiguous KvCache storage, prefix reuse must never
+// leak another sequence's divergent rows (copy-on-write), eviction must
+// conserve the block population under budget pressure and bound the cache
+// without one, and the serving engine must produce greedy output
+// byte-identical to the single-sequence IncrementalDecoder reference at
+// any thread count, KV precision and exit policy. Plus the KV-accounting
+// regressions: post-degrade admission projections, live-only
+// bytes_in_use, and admissions that a pinned prefix must not wedge.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,13 +19,14 @@
 namespace edgellm::serve {
 namespace {
 
+using edgellm::testing::engine_cfg;
 using edgellm::testing::feed_positions;
 using edgellm::testing::fill_row;
 using edgellm::testing::greedy_request;
 using edgellm::testing::iota_tokens;
 using edgellm::testing::paged_cfg;
-using edgellm::testing::paged_engine_cfg;
 using edgellm::testing::reference_greedy;
+using edgellm::testing::reference_voted;
 using edgellm::testing::seq_tokens;
 using edgellm::testing::tiny_config;
 
@@ -322,6 +325,89 @@ TEST(PagedKvPool, PinnedPrefixCountsAgainstAdmission) {
   EXPECT_EQ(pool.committed_bytes(), 0);
 }
 
+TEST(PagedKvPool, ByteBudgetGatesAdmission) {
+  const int64_t bb = 4 * nn::KvCache::bytes_per_position(1, 16, false);
+  // Budget: two worst-case sequences of 8 positions x 3 layers (6 blocks).
+  PagedKvPool pool(paged_cfg(4, 3, 16, /*budget=*/12 * bb));
+  EXPECT_EQ(pool.projected_bytes(8, 3), 6 * bb);
+  auto a = pool.acquire(iota_tokens(8), 8, 3);
+  auto b = pool.acquire(seq_tokens(8, 24, 5), 8, 3);
+  ASSERT_NE(a.seq, nullptr);
+  ASSERT_NE(b.seq, nullptr);
+  EXPECT_EQ(a.reason, KvAdmitReason::kOk);
+  EXPECT_EQ(pool.committed_bytes(), 12 * bb);
+  // Budget exhausted: even a one-block ask bounces, with a structured reason.
+  auto c = pool.acquire({1}, 1, 1);
+  EXPECT_EQ(c.seq, nullptr);
+  EXPECT_EQ(c.reason, KvAdmitReason::kByteBudget);
+  EXPECT_STREQ(to_string(c.reason), "kv: byte budget exceeded");
+  pool.release(b.seq, {}, /*reuse=*/false);
+  auto d = pool.acquire(seq_tokens(8, 24, 9), 8, 3);  // released bytes return
+  ASSERT_NE(d.seq, nullptr);
+  pool.release(d.seq, {}, false);
+  pool.release(a.seq, {}, false);
+  EXPECT_EQ(pool.committed_bytes(), 0);
+}
+
+// Pinning an unreferenced cached prefix costs its full block, which can
+// exceed what the match saves. When that pin is what breaks the budget,
+// admission must shorten the match (here down to cold) instead of
+// bouncing the request forever on an idle pool: unreferenced cache is only
+// evicted by allocation, so a rejection could never clear.
+TEST(PagedKvPool, PinThatBreaksBudgetFallsBackToShorterMatch) {
+  obs::Registry reg;
+  const int64_t bb = 4 * nn::KvCache::bytes_per_position(1, 8, false);
+  PagedKvPool pool(paged_cfg(4, 1, 8, /*budget=*/2 * bb, &reg));
+  auto a = pool.acquire(iota_tokens(4), 8, 1);
+  ASSERT_NE(a.seq, nullptr);
+  feed_positions(*a.seq, 7, 1);
+  pool.release(a.seq, iota_tokens(7), true);  // caches one full block
+  ASSERT_EQ(pool.cached_blocks(), 1);
+
+  // Same 4-token prompt: the match is partial (3 tokens into the cached
+  // block), so pinning it (1 block) plus the full 2-block reservation would
+  // need 3 blocks of a 2-block budget. Cold admission fits.
+  auto b = pool.acquire(iota_tokens(4), 8, 1);
+  ASSERT_NE(b.seq, nullptr);
+  EXPECT_EQ(b.prefix_tokens, 0);
+  EXPECT_EQ(reg.counter("kv/rejected").value(), 0);
+  EXPECT_EQ(pool.committed_bytes(), 2 * bb);
+  // Decoding evicts the unreferenced cached block to stay within budget.
+  feed_positions(*b.seq, 8, 1, /*salt=*/3);
+  EXPECT_EQ(reg.counter("kv/evicted_blocks").value(), 1);
+  EXPECT_LE(pool.allocated_blocks() * bb, pool.byte_budget());
+  pool.release(b.seq, {}, false);
+  EXPECT_EQ(pool.committed_bytes(), 0);
+}
+
+// bytes_in_use counts what live sequences hold — owned blocks plus the
+// shared prefix blocks they pin — never unreferenced cache.
+TEST(PagedKvPool, BytesInUseCountsOnlyLiveSequences) {
+  obs::Registry reg;
+  PagedKvPool pool(paged_cfg(4, 2, 8, /*budget=*/0, &reg));
+  const int64_t bb = pool.block_bytes();
+  auto a = pool.acquire(iota_tokens(8), 12, 2);
+  ASSERT_NE(a.seq, nullptr);
+  feed_positions(*a.seq, 8, 2);
+  EXPECT_EQ(pool.bytes_in_use(), 4 * bb);
+  pool.release(a.seq, iota_tokens(8), true);
+  EXPECT_EQ(pool.cached_blocks(), 4);
+  EXPECT_EQ(pool.bytes_in_use(), 0);
+  EXPECT_EQ(reg.gauge("kv/bytes_in_use").value(), 0);
+  EXPECT_EQ(reg.gauge("kv/blocks_in_use").value(), 4);  // the cache is still there
+
+  // A prefix hit pins the first cached block (1 full block x 2 layers) and
+  // owns the partial tail it forks.
+  auto b = pool.acquire(iota_tokens(6), 12, 2);
+  ASSERT_NE(b.seq, nullptr);
+  ASSERT_EQ(b.prefix_tokens, 5);
+  EXPECT_EQ(pool.bytes_in_use(), 4 * bb);  // both cached nodes pinned (full + partial)
+  feed_positions(*b.seq, 1, 2, /*salt=*/7);  // COW fork of the partial block
+  EXPECT_EQ(pool.bytes_in_use(), 6 * bb);
+  pool.release(b.seq, {}, false);
+  EXPECT_EQ(pool.bytes_in_use(), 0);
+}
+
 // Review regression: the scheduler must only donate a finished sequence's
 // rows to the prefix cache for trusted terminals. finish(reuse=false) —
 // the engine's kFailed path — recycles everything instead.
@@ -331,12 +417,7 @@ TEST(PagedScheduler, FailedFinishRecyclesInsteadOfDonating) {
   scfg.queue_capacity = 4;
   scfg.max_seq = 16;
   scfg.n_layers = 2;
-  KvPoolConfig pcfg;
-  pcfg.n_slots = 2;
-  pcfg.kv_dim = 8;
-  pcfg.paged = true;
-  pcfg.block_tokens = 4;
-  Scheduler sched(scfg, pcfg);
+  Scheduler sched(scfg, paged_cfg(/*block_tokens=*/4, 2, /*kv_dim=*/8, /*budget=*/0));
 
   auto run_one = [&](bool reuse) {
     auto s = std::make_unique<SeqState>();
@@ -356,33 +437,14 @@ TEST(PagedScheduler, FailedFinishRecyclesInsteadOfDonating) {
   };
 
   run_one(/*reuse=*/false);  // failed decode: rows untrusted
-  EXPECT_EQ(sched.paged_pool()->cached_blocks(), 0);
-  EXPECT_EQ(sched.paged_pool()->committed_bytes(), 0);
+  EXPECT_EQ(sched.kv_pool().cached_blocks(), 0);
+  EXPECT_EQ(sched.kv_pool().committed_bytes(), 0);
 
   run_one(/*reuse=*/true);  // clean completion donates (8 pos = 2 blocks x 2 layers)
-  EXPECT_EQ(sched.paged_pool()->cached_blocks(), 4);
-  EXPECT_EQ(sched.paged_pool()->committed_bytes(), 0);
-}
-
-// --- KV accounting regressions ----------------------------------------------
-
-// A slot that grows and dies entirely between two sync_live_bytes()
-// barriers must still be visible: release() settles the dying slot's final
-// bytes into the high-water mark immediately.
-TEST(KvCachePoolAccounting, HighWaterSeenWithoutSync) {
-  KvPoolConfig cfg;
-  cfg.n_slots = 2;
-  cfg.kv_dim = 16;
-  KvCachePool pool(cfg);
-  const int64_t s = pool.acquire(4, 1);
-  ASSERT_GE(s, 0);
-  std::vector<float> row(16, 1.0f);
-  pool.slot(s).append(0, row.data(), row.data());
-  pool.slot(s).append(0, row.data(), row.data());
-  // No sync between the appends and the release.
-  pool.release(s);
-  EXPECT_EQ(pool.bytes_in_use(), 0);
-  EXPECT_EQ(pool.high_water_bytes(), 2 * nn::KvCache::bytes_per_position(1, 16, false));
+  EXPECT_EQ(sched.kv_pool().cached_blocks(), 4);
+  EXPECT_EQ(sched.kv_pool().committed_bytes(), 0);
+  // A drained pool holds only reusable cache: nothing live.
+  EXPECT_EQ(sched.kv_pool().bytes_in_use(), 0);
 }
 
 // --- engine over the paged pool ---------------------------------------------
@@ -401,7 +463,7 @@ TEST(PagedEngine, GreedyByteIdenticalToContiguousAtAnyThreadCount) {
   for (const auto& p : prompts) want.push_back(reference_greedy(model, p, 6));
 
   for (const int64_t threads : {int64_t{1}, int64_t{2}, int64_t{8}}) {
-    ServeEngine engine(model, paged_engine_cfg(threads, /*block_tokens=*/5));
+    ServeEngine engine(model, engine_cfg(threads, /*max_batch=*/8, /*block_tokens=*/5));
     std::vector<std::future<Completion>> futs;
     for (size_t i = 0; i < prompts.size(); ++i) {
       futs.push_back(engine.submit(greedy_request(static_cast<int64_t>(i), prompts[i], 6)));
@@ -414,33 +476,27 @@ TEST(PagedEngine, GreedyByteIdenticalToContiguousAtAnyThreadCount) {
   }
 }
 
-// Quantized and voted paths: paged vs slot-pool engines must agree exactly
-// (the reference decoder does not cover these engine configs).
-TEST(PagedEngine, QuantizedAndVotedMatchSlotPool) {
+// Quantized and voted paths: the engine's fp32 and int8 KV decode must
+// match the single-sequence references exactly, voted requests included.
+TEST(PagedEngine, QuantizedAndVotedMatchReference) {
   const nn::ModelConfig cfg = tiny_config();
   Rng rng(41);
   nn::CausalLm model(cfg, rng);
   const auto prompt = seq_tokens(5, cfg.vocab, 2);
 
   for (const bool quantize : {false, true}) {
-    EngineConfig slot_cfg;
-    slot_cfg.threads = 2;
-    slot_cfg.quantize_kv = quantize;
-    EngineConfig paged = paged_engine_cfg(2);
-    paged.quantize_kv = quantize;
-
-    Completion a, b;
-    {
-      ServeEngine engine(model, slot_cfg);
-      a = engine.submit(greedy_request(1, prompt, 5, ExitPolicy::kVoted)).get();
-    }
-    {
-      ServeEngine engine(model, paged);
-      b = engine.submit(greedy_request(1, prompt, 5, ExitPolicy::kVoted)).get();
-    }
-    EXPECT_EQ(a.status, RequestStatus::kOk);
-    EXPECT_EQ(b.status, RequestStatus::kOk);
-    EXPECT_EQ(a.tokens, b.tokens) << "quantize " << quantize;
+    EngineConfig ecfg = engine_cfg(2, /*max_batch=*/8, /*block_tokens=*/4);
+    ecfg.quantize_kv = quantize;
+    ServeEngine engine(model, ecfg);
+    auto voted = engine.submit(greedy_request(1, prompt, 5, ExitPolicy::kVoted));
+    auto final_exit = engine.submit(greedy_request(2, prompt, 5));
+    const Completion v = voted.get();
+    const Completion f = final_exit.get();
+    EXPECT_EQ(v.status, RequestStatus::kOk);
+    EXPECT_EQ(f.status, RequestStatus::kOk);
+    EXPECT_EQ(v.tokens, reference_voted(model, prompt, 5, quantize)) << "quantize " << quantize;
+    EXPECT_EQ(f.tokens, reference_greedy(model, prompt, 5, /*exit_layer=*/0, quantize))
+        << "quantize " << quantize;
   }
 }
 
@@ -453,7 +509,7 @@ TEST(PagedEngine, ChunkedPrefillKeepsOutputsIdentical) {
   const auto prompt = seq_tokens(8, cfg.vocab, 1);
   const auto want = reference_greedy(model, prompt, 5);
 
-  EngineConfig ecfg = paged_engine_cfg(2);
+  EngineConfig ecfg = engine_cfg(2, /*max_batch=*/8, /*block_tokens=*/4);
   ecfg.prefill_chunk = 4;
   ServeEngine engine(model, ecfg);
   const Completion c = engine.submit(greedy_request(7, prompt, 5)).get();
@@ -470,7 +526,7 @@ TEST(PagedEngine, RepeatedPromptHitsPrefixCacheWithIdenticalOutput) {
   const auto prompt = seq_tokens(10, cfg.vocab, 4);
   const auto want = reference_greedy(model, prompt, 4);
 
-  ServeEngine engine(model, paged_engine_cfg(1));
+  ServeEngine engine(model, engine_cfg(1, /*max_batch=*/8, /*block_tokens=*/4));
   const Completion first = engine.submit(greedy_request(1, prompt, 4)).get();
   EXPECT_EQ(first.tokens, want);
   EXPECT_EQ(engine.registry().counter("kv/prefix_hit").value(), 0);
@@ -499,8 +555,7 @@ TEST(PagedEngine, DegradedRequestAdmitsWhereFullDepthWouldBeRejected) {
   const auto prompt = seq_tokens(4, cfg.vocab, 0);
 
   const int64_t per_pos_1 = nn::KvCache::bytes_per_position(1, cfg.kv_dim(), false);
-  EngineConfig ecfg;
-  ecfg.threads = 1;
+  EngineConfig ecfg = engine_cfg(1, /*max_batch=*/8, /*block_tokens=*/4);
   ecfg.queue_capacity = 8;
   // Budget fits two depth-1 sequences of 8 positions; a full-depth (3
   // layer) projection of the same request is 3x and can never fit.
@@ -526,6 +581,67 @@ TEST(PagedEngine, DegradedRequestAdmitsWhereFullDepthWouldBeRejected) {
   EXPECT_EQ(v.tokens, reference_greedy(model, prompt, 4, /*exit_layer=*/1));
 }
 
+// A drained engine holds no live KV: kv/bytes_in_use reads 0 even though
+// the prefix cache kept the finished request's blocks.
+TEST(PagedEngine, DrainedEngineReadsZeroBytesInUseWhileCaching) {
+  const nn::ModelConfig cfg = tiny_config();
+  Rng rng(47);
+  nn::CausalLm model(cfg, rng);
+  ServeEngine engine(model, engine_cfg(1, /*max_batch=*/8, /*block_tokens=*/4));
+  const Completion c = engine.submit(greedy_request(1, seq_tokens(8, cfg.vocab, 1), 4)).get();
+  ASSERT_EQ(c.status, RequestStatus::kOk);
+  engine.shutdown();
+  EXPECT_GT(engine.registry().gauge("kv/blocks_cached").value(), 0);
+  EXPECT_EQ(engine.registry().gauge("kv/bytes_in_use").value(), 0);
+  EXPECT_EQ(engine.registry().gauge("kv/committed_bytes").value(), 0);
+}
+
+// With no byte budget the prefix cache must not grow without limit under
+// never-repeating traffic: allocation evicts cached blocks once the pool
+// would pass max_batch full-context sequences' worth of blocks.
+TEST(PagedEngine, NeverRepeatingTrafficKeepsCacheWithinDerivedLimit) {
+  const nn::ModelConfig cfg = tiny_config();
+  Rng rng(48);
+  nn::CausalLm model(cfg, rng);
+  const int64_t max_batch = 2;
+  const int64_t bt = 4;
+  // 1000 distinct prompts (the first three tokens spell i in base 24); each
+  // caches 11 positions and donates 2 full blocks per layer on completion.
+  // References for a sample are decoded before the engine owns the model.
+  auto prompt_of = [](int64_t i) {
+    return std::vector<int64_t>{i % 24, (i / 24) % 24, i / 576, 5, 7, 11};
+  };
+  std::vector<std::vector<int64_t>> want;
+  for (int64_t i = 0; i < 1000; i += 100) {
+    want.push_back(reference_greedy(model, prompt_of(i), 6));
+  }
+
+  EngineConfig ecfg = engine_cfg(1, max_batch, bt);
+  ecfg.queue_capacity = 1000;
+  ServeEngine engine(model, ecfg);
+  // max_batch x ceil(max_seq / bt) blocks per layer x n_layers.
+  const int64_t limit_blocks = max_batch * ((cfg.max_seq + bt - 1) / bt) * cfg.n_layers;
+  const int64_t block_bytes = bt * nn::KvCache::bytes_per_position(1, cfg.kv_dim(), false);
+
+  std::vector<std::future<Completion>> futs;
+  for (int64_t i = 0; i < 1000; ++i) {
+    futs.push_back(engine.submit(greedy_request(i, prompt_of(i), 6)));
+  }
+  for (int64_t i = 0; i < 1000; ++i) {
+    const Completion c = futs[static_cast<size_t>(i)].get();
+    ASSERT_EQ(c.status, RequestStatus::kOk) << i << " " << c.error;
+    if (i % 100 == 0) {
+      EXPECT_EQ(c.tokens, want[static_cast<size_t>(i / 100)]) << i;
+    }
+  }
+  engine.shutdown();
+  obs::Registry& reg = engine.registry();
+  EXPECT_LE(reg.gauge("kv/blocks_in_use").value(), limit_blocks);
+  EXPECT_LE(reg.gauge("kv/high_water_bytes").value(), limit_blocks * block_bytes);
+  EXPECT_GT(reg.counter("kv/evicted_blocks").value(), 0);
+  EXPECT_EQ(reg.gauge("kv/bytes_in_use").value(), 0);
+}
+
 // Review regression (end to end): a request that fails mid-decode must not
 // donate its rows to the prefix cache — poisoned logits fail the request
 // after its whole prompt was appended, which the old reuse-always release
@@ -538,7 +654,7 @@ TEST(PagedEngine, FailedDecodeDoesNotDonateToPrefixCache) {
   runtime::ServeFaultPlan plan;
   plan.poison_logits_prob = 1.0;
   runtime::ServeFaultInjector fault(plan);
-  EngineConfig ecfg = paged_engine_cfg(1);
+  EngineConfig ecfg = engine_cfg(1, /*max_batch=*/8, /*block_tokens=*/4);
   ecfg.fault = &fault;
   ServeEngine engine(model, ecfg);
 
@@ -564,26 +680,21 @@ TEST(PagedEngine, BudgetStuckHeadDegradesInsteadOfWedging) {
   const auto want = reference_greedy(model, prompt, 4, /*exit_layer=*/1);
 
   const int64_t per_pos_1 = nn::KvCache::bytes_per_position(1, cfg.kv_dim(), false);
-  for (const bool paged : {false, true}) {
-    EngineConfig ecfg;
-    ecfg.threads = 1;
-    ecfg.kv_paged = paged;
-    ecfg.kv_block_tokens = 4;
-    // 8 projected positions: fits at the depth-1 floor (8 blocks-worth),
-    // never at the full 3-layer depth (24) — for either pool backing.
-    ecfg.kv_byte_budget = 16 * per_pos_1;
-    // A degrade mechanism is configured but its threshold never trips for
-    // this lone request, so submit-time pressure cannot save it.
-    ecfg.admission.degrade_queue_ratio = 0.95;
-    ServeEngine engine(model, ecfg);
+  EngineConfig ecfg = engine_cfg(1, /*max_batch=*/8, /*block_tokens=*/4);
+  // 8 projected positions: fits at the depth-1 floor (8 positions' worth),
+  // never at the full 3-layer depth (24).
+  ecfg.kv_byte_budget = 16 * per_pos_1;
+  // A degrade mechanism is configured but its threshold never trips for
+  // this lone request, so submit-time pressure cannot save it.
+  ecfg.admission.degrade_queue_ratio = 0.95;
+  ServeEngine engine(model, ecfg);
 
-    const Completion c = engine.submit(greedy_request(1, prompt, 4)).get();
-    EXPECT_EQ(c.status, RequestStatus::kOk) << "paged=" << paged << " " << c.error;
-    EXPECT_TRUE(c.degraded) << "paged=" << paged;
-    EXPECT_EQ(c.exit_layer_used, 1) << "paged=" << paged;
-    EXPECT_EQ(c.tokens, want) << "paged=" << paged;
-    EXPECT_EQ(engine.metrics().degraded, 1) << "paged=" << paged;
-  }
+  const Completion c = engine.submit(greedy_request(1, prompt, 4)).get();
+  EXPECT_EQ(c.status, RequestStatus::kOk) << c.error;
+  EXPECT_TRUE(c.degraded);
+  EXPECT_EQ(c.exit_layer_used, 1);
+  EXPECT_EQ(c.tokens, want);
+  EXPECT_EQ(engine.metrics().degraded, 1);
 }
 
 }  // namespace

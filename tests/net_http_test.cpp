@@ -6,7 +6,7 @@
 //     produces, and the final chunk is the same completion JSON;
 //   - overload surfaces as structured 429/503 with every request answered;
 //   - a client that disconnects mid-stream cancels its request through the
-//     engine's cancel path, releasing its KV slot (acquired == released)
+//     engine's cancel path, releasing its KV (acquired == released)
 //     and keeping the request-conservation ledger exact — both for real
 //     hangups and for ServeFaultInjector-drawn disconnects through the
 //     same socket path;

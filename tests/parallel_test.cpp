@@ -5,9 +5,9 @@
 //   - every parallelised kernel is bitwise identical to its serial result
 //     at any thread count (the backend's core guarantee);
 //   - the dense matmul/bmm variants propagate NaN/Inf per IEEE semantics
-//     (0 * NaN == NaN), and the _skipzero variants document the masking
-//     they trade for the sparsity fast path;
-//   - KvCachePool metrics accessors are safe to poll concurrently (run
+//     (0 * NaN == NaN), and bmm_tn_skipzero documents the masking it
+//     trades for the sparsity fast path;
+//   - PagedKvPool metrics accessors are safe to poll concurrently (run
 //     under TSan in CI);
 //   - training steps and served greedy decode are bitwise reproducible
 //     across compute-thread counts.
@@ -213,7 +213,6 @@ TEST(Determinism, MatmulVariantsBitwiseIdenticalAcrossThreads) {
   const Tensor r_bmm = ops::bmm(ba, bb);
   const Tensor r_bnt = ops::bmm_nt(ba, bb_t);
   const Tensor r_btn = ops::bmm_tn(ba_t, bb);
-  const Tensor r_mm_sz = ops::matmul_skipzero(a, b);
   const Tensor r_btn_sz = ops::bmm_tn_skipzero(ba_t, bb);
 
   for (const int64_t nt : {2, 8}) {
@@ -224,7 +223,6 @@ TEST(Determinism, MatmulVariantsBitwiseIdenticalAcrossThreads) {
     expect_bitwise_equal(ops::bmm(ba, bb), r_bmm, "bmm");
     expect_bitwise_equal(ops::bmm_nt(ba, bb_t), r_bnt, "bmm_nt");
     expect_bitwise_equal(ops::bmm_tn(ba_t, bb), r_btn, "bmm_tn");
-    expect_bitwise_equal(ops::matmul_skipzero(a, b), r_mm_sz, "matmul_skipzero");
     expect_bitwise_equal(ops::bmm_tn_skipzero(ba_t, bb), r_btn_sz, "bmm_tn_skipzero");
   }
 }
@@ -332,20 +330,14 @@ TEST(Numerics, BmmVariantsPropagateNan) {
   EXPECT_TRUE(std::isnan(c_tn.at(1, 1, 1)));
 }
 
-// The _skipzero variants keep the old fast path — and its documented
-// contract: a zero in A masks a NaN at the matching position of B. This
-// test pins the contract so a change to it is a deliberate decision.
+// bmm_tn_skipzero keeps the old fast path — and its documented contract:
+// a zero in A masks a NaN at the matching position of B. This test pins
+// the contract so a change to it is a deliberate decision.
 TEST(Numerics, SkipzeroVariantsMaskNanBehindZeros) {
   ThreadGuard guard;
   const float qnan = std::numeric_limits<float>::quiet_NaN();
 
-  Tensor a({2, 3});  // all zeros -> every product is skipped
-  Tensor b({3, 2});
-  b.at(1, 0) = qnan;
-  const Tensor c = ops::matmul_skipzero(a, b);
-  for (int64_t i = 0; i < c.numel(); ++i) EXPECT_EQ(c[i], 0.0f) << i;
-
-  Tensor ba_t({1, 3, 2});
+  Tensor ba_t({1, 3, 2});  // all zeros -> every product is skipped
   Tensor bb({1, 3, 2});
   bb.at(0, 0, 0) = qnan;
   const Tensor c_tn = ops::bmm_tn_skipzero(ba_t, bb);
@@ -358,33 +350,30 @@ TEST(Numerics, SkipzeroVariantsMaskNanBehindZeros) {
 TEST(Numerics, SkipzeroMatchesDenseOnFiniteInputs) {
   ThreadGuard guard;
   Rng rng(9);
-  Tensor a = rand_tensor({6, 8}, rng);
-  const Tensor b = rand_tensor({8, 5}, rng);
-  for (int64_t i = 0; i < a.numel(); i += 3) a[i] = 0.0f;  // plant real sparsity
-  expect_bitwise_equal(ops::matmul_skipzero(a, b), ops::matmul(a, b), "skipzero vs dense");
-
   Tensor ba_t = rand_tensor({3, 4, 6}, rng);
   const Tensor bb = rand_tensor({3, 4, 5}, rng);
-  for (int64_t i = 0; i < ba_t.numel(); i += 2) ba_t[i] = 0.0f;
+  for (int64_t i = 0; i < ba_t.numel(); i += 2) ba_t[i] = 0.0f;  // plant real sparsity
   expect_bitwise_equal(ops::bmm_tn_skipzero(ba_t, bb), ops::bmm_tn(ba_t, bb),
                        "bmm_tn_skipzero vs dense");
 }
 
-// --- KvCachePool concurrent metrics (TSan target) ---------------------------
+// --- PagedKvPool concurrent metrics (TSan target) --------------------------
 
 // Metrics accessors are const and documented safe to poll from any thread
-// while the scheduler acquires/releases, appends, and refreshes the byte
-// accounting via sync_live_bytes() at its barriers. They read only cached
-// mutex-guarded counters — never slot contents, which are unlocked. A
-// poller hammers every accessor while the main thread plays the
-// scheduler; TSan in CI turns any missing lock into a failure, and the
-// invariant checks catch torn accounting.
-TEST(KvCachePoolThreads, MetricsPollingRacesAcquireRelease) {
+// while the scheduler acquires/releases and workers append (allocating
+// blocks, evicting cached prefixes). They read only mutex-guarded
+// accounting — never block contents, which are unlocked. A poller hammers
+// every accessor while the main thread plays the scheduler; TSan in CI
+// turns any missing lock into a failure, and the invariant checks catch
+// torn accounting.
+TEST(PagedKvPoolThreads, MetricsPollingRacesAcquireRelease) {
   serve::KvPoolConfig cfg;
-  cfg.n_slots = 4;
+  cfg.block_tokens = 2;
+  cfg.n_layers = 1;
   cfg.kv_dim = 16;
-  cfg.byte_budget = 0;
-  serve::KvCachePool pool(cfg);
+  cfg.max_seqs = 2;
+  cfg.max_seq = 4;  // cache limit: 4 blocks, so donations cycle through eviction
+  serve::PagedKvPool pool(cfg);
 
   std::atomic<bool> stop{false};
   std::thread poller([&] {
@@ -392,32 +381,37 @@ TEST(KvCachePoolThreads, MetricsPollingRacesAcquireRelease) {
       const int64_t live = pool.bytes_in_use();
       EXPECT_GE(live, 0);
       EXPECT_GE(pool.committed_bytes(), 0);
-      EXPECT_GE(pool.high_water_bytes(), live);  // mark never trails a live read
-      const int64_t used = pool.slots_in_use();
+      EXPECT_GE(pool.high_water_bytes(), 0);
+      const int64_t used = pool.seqs_in_use();
       EXPECT_GE(used, 0);
-      EXPECT_LE(used, 4);
+      EXPECT_LE(used, 2);
+      EXPECT_LE(pool.cached_blocks(), pool.total_blocks());  // total only grows
     }
   });
 
   std::vector<float> row(16, 1.0f);
-  for (int rep = 0; rep < 200; ++rep) {
-    const int64_t a = pool.acquire(4, 1);
-    const int64_t b = pool.acquire(4, 1);
-    ASSERT_GE(a, 0);
-    ASSERT_GE(b, 0);
-    pool.slot(a).append(0, row.data(), row.data());
-    pool.slot(b).append(0, row.data(), row.data());
-    // The scheduler's tick barrier: no appends in flight, so it may read
-    // slot contents to refresh the accounting the poller reads.
-    EXPECT_GT(pool.sync_live_bytes(), 0);
-    pool.release(a);
-    pool.release(b);
+  for (int64_t rep = 0; rep < 200; ++rep) {
+    const std::vector<int64_t> pa = {rep, 1, 2}, pb = {rep, 3, 4};
+    auto a = pool.acquire(pa, 4, 1);
+    auto b = pool.acquire(pb, 4, 1);
+    ASSERT_NE(a.seq, nullptr);
+    ASSERT_NE(b.seq, nullptr);
+    for (int i = 0; i < 2; ++i) {
+      a.seq->append(0, row.data(), row.data());
+      b.seq->append(0, row.data(), row.data());
+    }
+    EXPECT_GT(pool.bytes_in_use(), 0);
+    // Tick barrier: no appends in flight. Donate one full block each.
+    pool.release(a.seq, {pa[0], pa[1]}, /*reuse=*/true);
+    pool.release(b.seq, {pb[0], pb[1]}, /*reuse=*/true);
   }
   stop.store(true);
   poller.join();
-  EXPECT_EQ(pool.slots_in_use(), 0);
+  EXPECT_EQ(pool.seqs_in_use(), 0);
   EXPECT_EQ(pool.bytes_in_use(), 0);
+  EXPECT_EQ(pool.committed_bytes(), 0);
   EXPECT_GT(pool.high_water_bytes(), 0);
+  EXPECT_LE(pool.allocated_blocks() * pool.block_bytes(), pool.cache_limit_bytes());
 }
 
 // --- end-to-end determinism across compute-thread counts --------------------

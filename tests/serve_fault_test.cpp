@@ -3,7 +3,7 @@
 // deadline storms, the scheduler-stall watchdog — and the seeded soak
 // harness that drives >= 1000 faulted ticks asserting the engine's
 // survival invariants (every future resolves, counters conserve, no
-// leaked KV slots, no deadlock).
+// leaked KV, no deadlock).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -280,8 +280,9 @@ TEST(ServeEngineFault, WatchdogStaysQuietOnHealthyEngine) {
 // The tentpole's survival harness: >= 1000 decode ticks under a seeded mix
 // of every injected fault plus quota/overload pressure, asserting the
 // engine's global invariants at the end. Runs in seconds on the tiny model;
-// CI runs it under ASan and TSan (label serve_fault).
-void run_faulted_soak(bool paged_kv) {
+// CI runs it under ASan and TSan (label serve_fault). Block allocation,
+// prefix donation, COW and eviction all run under the fault pressure.
+TEST(ServeFaultSoak, ThousandFaultedTicksHoldInvariants) {
   const nn::ModelConfig cfg = tiny_config();
   Rng rng(79);
   nn::CausalLm model(cfg, rng);
@@ -312,7 +313,6 @@ void run_faulted_soak(bool paged_kv) {
   ecfg.admission.degrade_kv_ratio = 0.6;
   ecfg.admission.tenant_rate = 400.0;  // quotas on, occasionally binding
   ecfg.admission.tenant_burst = 8.0;
-  ecfg.kv_paged = paged_kv;
   ecfg.kv_block_tokens = 4;
   ServeEngine engine(model, ecfg);
 
@@ -366,7 +366,7 @@ void run_faulted_soak(bool paged_kv) {
                              m.expired + m.failed);
   EXPECT_GE(m.ticks, 1000);
   EXPECT_EQ(m.watchdog_fired, 0);
-  // Invariant 3: no leaked KV slots or bytes after drain.
+  // Invariant 3: no leaked KV sequences or bytes after drain.
   EXPECT_EQ(engine.registry().counter("kv/acquired").value(),
             engine.registry().counter("kv/released").value());
   EXPECT_EQ(static_cast<int64_t>(engine.registry().gauge("kv/committed_bytes").value()), 0);
@@ -378,15 +378,11 @@ void run_faulted_soak(bool paged_kv) {
       static_cast<int64_t>(engine.registry().gauge("kv/high_water_bytes").value());
   EXPECT_GT(high_water, 0);
   EXPECT_LE(high_water, ecfg.kv_byte_budget);
-  const int64_t in_use = static_cast<int64_t>(engine.registry().gauge("kv/bytes_in_use").value());
-  EXPECT_LE(in_use, ecfg.kv_byte_budget);
-  if (paged_kv) {
-    // After drain only unreferenced cached prefixes may hold blocks.
-    EXPECT_EQ(engine.registry().gauge("kv/blocks_in_use").value(),
-              engine.registry().gauge("kv/blocks_cached").value());
-  } else {
-    EXPECT_EQ(in_use, 0);
-  }
+  // After drain nothing is live, and only unreferenced cached prefixes
+  // may hold blocks.
+  EXPECT_EQ(engine.registry().gauge("kv/bytes_in_use").value(), 0);
+  EXPECT_EQ(engine.registry().gauge("kv/blocks_in_use").value(),
+            engine.registry().gauge("kv/blocks_cached").value());
   // The soak actually exercised the machinery: faults fired, pressure shed
   // and degraded work, and plenty of requests still completed.
   EXPECT_GT(fault.stalls() + fault.deaths() + fault.kv_rejections() + fault.poisons() +
@@ -395,15 +391,6 @@ void run_faulted_soak(bool paged_kv) {
   EXPECT_GT(m.completed, 0);
   EXPECT_GT(m.expired + m.shed + m.failed + m.cancelled, 0);
   EXPECT_EQ(resolved, m.submitted);
-}
-
-TEST(ServeFaultSoak, ThousandFaultedTicksHoldInvariants) { run_faulted_soak(/*paged_kv=*/false); }
-
-// Same seeded storm through the paged pool: block allocation, prefix
-// donation, COW and eviction all run under fault pressure, and the same
-// budget/conservation invariants must hold.
-TEST(ServeFaultSoak, ThousandFaultedTicksHoldInvariantsPagedKv) {
-  run_faulted_soak(/*paged_kv=*/true);
 }
 
 }  // namespace

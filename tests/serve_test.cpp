@@ -7,7 +7,6 @@
 #include <chrono>
 #include <future>
 
-#include "core/voting.hpp"
 #include "serve/engine.hpp"
 #include "test_util.hpp"
 
@@ -16,8 +15,9 @@ namespace {
 
 using edgellm::testing::engine_cfg;
 using edgellm::testing::greedy_request;
-using edgellm::testing::pool_cfg;
+using edgellm::testing::paged_cfg;
 using edgellm::testing::reference_greedy;
+using edgellm::testing::reference_voted;
 using edgellm::testing::seq_tokens;
 using edgellm::testing::tiny_config;
 
@@ -52,60 +52,6 @@ TEST(KvCache, QuantizedRoundTripIsClose) {
   for (size_t i = 0; i < 8; ++i) EXPECT_NEAR(out[i], k[i], 3.0f / 127.0f) << i;
   q.load_v(0, 0, out.data());
   for (size_t i = 0; i < 8; ++i) EXPECT_NEAR(out[i], v[i], 0.8f / 127.0f) << i;
-}
-
-// --- KvCachePool ------------------------------------------------------------
-
-TEST(KvCachePool, AcquireReleaseReuse) {
-  KvCachePool pool(pool_cfg(2, /*budget=*/0));
-  const int64_t a = pool.acquire(8, 3);
-  const int64_t b = pool.acquire(8, 3);
-  ASSERT_GE(a, 0);
-  ASSERT_GE(b, 0);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(pool.slots_in_use(), 2);
-  EXPECT_EQ(pool.acquire(8, 3), -1);  // no free slot
-
-  std::vector<float> row(16, 1.0f);
-  pool.slot(a).append(0, row.data(), row.data());
-  EXPECT_EQ(pool.bytes_in_use(), 0);  // cached accounting lags until a sync
-  EXPECT_GT(pool.sync_live_bytes(), 0);
-  EXPECT_EQ(pool.bytes_in_use(), pool.sync_live_bytes());
-
-  pool.release(a);
-  EXPECT_EQ(pool.slots_in_use(), 1);
-  EXPECT_THROW(pool.slot(a), std::invalid_argument);  // released slots are dead
-  const int64_t c = pool.acquire(4, 3);
-  ASSERT_GE(c, 0);
-  EXPECT_EQ(pool.slot(c).positions(0), 0);  // reused storage starts empty
-}
-
-TEST(KvCachePool, ByteBudgetGatesAdmission) {
-  const int64_t per_seq = 8 * nn::KvCache::bytes_per_position(3, 16, false);
-  KvCachePool pool(pool_cfg(4, /*budget=*/2 * per_seq));
-  EXPECT_EQ(pool.projected_bytes(8, 3), per_seq);
-  const int64_t a = pool.acquire(8, 3);
-  const int64_t b = pool.acquire(8, 3);
-  ASSERT_GE(a, 0);
-  ASSERT_GE(b, 0);
-  EXPECT_EQ(pool.committed_bytes(), 2 * per_seq);
-  EXPECT_EQ(pool.acquire(1, 1), -1);  // budget exhausted despite free slots
-  pool.release(b);
-  EXPECT_GE(pool.acquire(8, 3), 0);  // released bytes return to the budget
-}
-
-TEST(KvCachePool, HighWaterTracksLiveBytes) {
-  KvCachePool pool(pool_cfg(2, 0));
-  const int64_t a = pool.acquire(4, 1);
-  std::vector<float> row(16, 1.0f);
-  pool.slot(a).append(0, row.data(), row.data());
-  pool.slot(a).append(0, row.data(), row.data());
-  const int64_t live = pool.sync_live_bytes();
-  EXPECT_EQ(live, 2 * nn::KvCache::bytes_per_position(1, 16, false));
-  EXPECT_EQ(pool.bytes_in_use(), live);
-  pool.release(a);
-  EXPECT_EQ(pool.bytes_in_use(), 0);  // release drops the slot's contribution
-  EXPECT_EQ(pool.high_water_bytes(), live);  // mark survives the release
 }
 
 // --- batched decode ---------------------------------------------------------
@@ -364,32 +310,7 @@ TEST(ServeEngine, MixedExitPoliciesInOneBatch) {
 
   EXPECT_EQ(f_final.get().tokens, want_final);
   EXPECT_EQ(f_early.get().tokens, want_early);
-
-  // Voted reference: decode with all exits, combine with the engine's
-  // defaults (uniform weights, zero losses), greedy-pick.
-  model.set_eval();
-  const size_t n_exits = model.exit_layers().size();
-  const std::vector<float> w(n_exits, 1.0f / static_cast<float>(n_exits));
-  const std::vector<float> losses(n_exits, 0.0f);
-  nn::KvCache cache(cfg.n_layers, cfg.kv_dim(), false);
-  std::vector<int64_t> want_voted;
-  int64_t pos = 0;
-  std::vector<Tensor> exits;
-  for (size_t t = 0; t < prompt.size(); ++t) {
-    exits = nn::decode_step_all_exits(model, cache, pos++, prompt[t]);
-  }
-  core::VoterConfig vcfg;  // engine default
-  for (int64_t i = 0; i < 5; ++i) {
-    const Tensor voted =
-        core::combine_exit_logits(exits, w, losses, vcfg).reshape({cfg.vocab});
-    nn::GenerateConfig g;
-    g.temperature = 0.0f;
-    Rng r(0);
-    const int64_t tok = nn::sample_token(voted, g, r);
-    want_voted.push_back(tok);
-    if (i + 1 < 5) exits = nn::decode_step_all_exits(model, cache, pos++, tok);
-  }
-  EXPECT_EQ(f_voted.get().tokens, want_voted);
+  EXPECT_EQ(f_voted.get().tokens, reference_voted(model, prompt, 5));
 }
 
 TEST(ServeEngine, KvBudgetSerialisesAdmissionWithoutStarvation) {
@@ -399,11 +320,12 @@ TEST(ServeEngine, KvBudgetSerialisesAdmissionWithoutStarvation) {
   const auto prompt = seq_tokens(4, cfg.vocab);
   const auto want = reference_greedy(model, prompt, 4);
 
-  // Budget fits exactly one sequence's projection: requests must decode
-  // one at a time, all still completing.
-  const int64_t projected =
-      (4 + 4) * nn::KvCache::bytes_per_position(cfg.n_layers, cfg.kv_dim(), false);
+  // Budget fits exactly one sequence's projection (8 positions round up to
+  // one 16-position block per layer): requests must decode one at a time,
+  // all still completing.
   EngineConfig ecfg = engine_cfg(1);
+  const int64_t projected =
+      ecfg.kv_block_tokens * nn::KvCache::bytes_per_position(cfg.n_layers, cfg.kv_dim(), false);
   ecfg.kv_byte_budget = projected;
   ServeEngine engine(model, ecfg);
 
@@ -538,7 +460,7 @@ TEST(ServeEngine, DeadlineExpiredWhileQueuedIsExpiredNotAdmitted) {
   ServeEngine engine(model, engine_cfg(1));
   // Park the scheduler so the request provably sits in the queue past its
   // deadline; the admission scan must then retire it without ever giving
-  // it a batch slot or a KV slot.
+  // it a batch slot or any KV.
   engine.pause();
   Request r = greedy_request(9, seq_tokens(4, cfg.vocab), 8);
   r.deadline_ms = 5.0;
@@ -552,7 +474,7 @@ TEST(ServeEngine, DeadlineExpiredWhileQueuedIsExpiredNotAdmitted) {
   EXPECT_EQ(c.metrics.queue_wait_ms, 0.0);  // never admitted
   EXPECT_EQ(engine.metrics().expired, 1);
   EXPECT_EQ(engine.metrics().timed_out, 0);
-  // Never occupied a KV slot: no acquire was ever recorded.
+  // Never held KV: no acquire was ever recorded.
   EXPECT_EQ(engine.registry().counter("kv/acquired").value(), 0);
 }
 
@@ -568,9 +490,10 @@ TEST(ServeEngine, PerRequestMetricsArePopulated) {
   EXPECT_GE(c.metrics.total_ms, c.metrics.ttft_ms);
   EXPECT_GT(c.metrics.tokens_per_s, 0.0);
   // 4 prompt + 5 generated positions cached at completion (the 6th sampled
-  // token is returned but never fed back).
+  // token is returned but never fed back), held in one 16-position block
+  // per layer.
   EXPECT_EQ(c.metrics.kv_bytes,
-            9 * nn::KvCache::bytes_per_position(cfg.n_layers, cfg.kv_dim(), false));
+            16 * nn::KvCache::bytes_per_position(cfg.n_layers, cfg.kv_dim(), false));
 }
 
 TEST(ServeEngine, SetExitWeightsValidatesSizes) {
@@ -584,32 +507,13 @@ TEST(ServeEngine, SetExitWeightsValidatesSizes) {
 
 // --- scheduler (policy unit tests) ------------------------------------------
 
-TEST(KvCachePool, AcquireReportsStructuredRejectReason) {
-  const int64_t per_seq = 8 * nn::KvCache::bytes_per_position(3, 16, false);
-  KvCachePool pool(pool_cfg(1, /*budget=*/2 * per_seq));
-  KvAdmitReason reason = KvAdmitReason::kByteBudget;
-  ASSERT_GE(pool.acquire(8, 3, &reason), 0);
-  EXPECT_EQ(reason, KvAdmitReason::kOk);
-  // Single slot occupied: the second acquire fails on slots, not bytes.
-  EXPECT_EQ(pool.acquire(8, 3, &reason), -1);
-  EXPECT_EQ(reason, KvAdmitReason::kSlotsExhausted);
-  EXPECT_STREQ(to_string(reason), "kv: slots exhausted");
-
-  KvCachePool tight(pool_cfg(4, /*budget=*/per_seq));
-  ASSERT_GE(tight.acquire(8, 3, &reason), 0);
-  // Free slots remain but the budget is spent: byte-budget rejection.
-  EXPECT_EQ(tight.acquire(8, 3, &reason), -1);
-  EXPECT_EQ(reason, KvAdmitReason::kByteBudget);
-  EXPECT_STREQ(to_string(reason), "kv: byte budget exceeded");
-}
-
 TEST(ServeEngine, KvShedSurfacesByteBudgetReasonInCompletionError) {
   const nn::ModelConfig cfg = tiny_config();
   Rng rng(61);
   nn::CausalLm model(cfg, rng);
   const int64_t per_pos = nn::KvCache::bytes_per_position(cfg.n_layers, cfg.kv_dim(), false);
   EngineConfig ecfg = engine_cfg(1, /*max_batch=*/4);
-  ecfg.kv_byte_budget = 8 * per_pos;      // exactly one 8-position sequence
+  ecfg.kv_byte_budget = 16 * per_pos;     // exactly one sequence: one 16-position block
   ecfg.max_admission_retries = 1;         // shed on the first failed acquire
   ServeEngine engine(model, ecfg);
 
@@ -620,7 +524,7 @@ TEST(ServeEngine, KvShedSurfacesByteBudgetReasonInCompletionError) {
   EXPECT_EQ(f1.get().status, RequestStatus::kOk);
   const Completion shed = f2.get();
   EXPECT_EQ(shed.status, RequestStatus::kShed);
-  // The structured reason distinguishes byte-budget from slot exhaustion.
+  // The structured reason names the byte budget.
   EXPECT_NE(shed.error.find("kv: byte budget exceeded"), std::string::npos) << shed.error;
   EXPECT_NE(shed.error.find("after 1 attempts"), std::string::npos) << shed.error;
   EXPECT_EQ(engine.metrics().shed, 1);
@@ -705,7 +609,7 @@ TEST(ServeEngine, ConcurrentSubmitAndCancelWhileQueuedUnderContention) {
 
 TEST(Scheduler, QueueCapacityBoundsEnqueue) {
   SchedulerConfig cfg{/*max_batch=*/1, /*queue_capacity=*/2, /*max_seq=*/16, /*n_layers=*/3};
-  Scheduler sched(cfg, pool_cfg(1, 0));
+  Scheduler sched(cfg, paged_cfg(4, 3, 16, 0));
   for (int i = 0; i < 2; ++i) {
     auto s = std::make_unique<SeqState>();
     s->req.prompt = {1};
@@ -721,8 +625,9 @@ TEST(Scheduler, QueueCapacityBoundsEnqueue) {
 TEST(Scheduler, AdmitPreservesFifoHeadOfLine) {
   const int64_t per_pos = nn::KvCache::bytes_per_position(3, 16, false);
   SchedulerConfig cfg{/*max_batch=*/4, /*queue_capacity=*/8, /*max_seq=*/16, /*n_layers=*/3};
-  // Budget fits a small sequence but not the large head request.
-  Scheduler sched(cfg, pool_cfg(4, 4 * per_pos));
+  // Budget fits a small sequence but not the large head request (one-token
+  // blocks: admission is charged per position).
+  Scheduler sched(cfg, paged_cfg(/*block_tokens=*/1, 3, 16, 4 * per_pos));
 
   auto big = std::make_unique<SeqState>();
   big->req.prompt = {1, 2, 3, 4};

@@ -2,9 +2,10 @@
 // stacked full-depth pass verifies, with rejected rows rewound out of the
 // KV cache (KvSequenceView::truncate). The load-bearing contract, pinned
 // differentially throughout: speculative greedy output is BYTE-IDENTICAL
-// to non-speculative full-depth greedy decode — across both KV pools, any
-// thread count, fp32 and int8 KV, any draft depth and verify width.
-// Alongside: adversarial truncate tests for both cache backings (mid-block,
+// to non-speculative full-depth greedy decode and to the single-sequence
+// IncrementalDecoder reference — at any thread count, fp32 and int8 KV, any
+// draft depth and verify width. Alongside: adversarial truncate tests for
+// both cache backings, contiguous and paged (mid-block,
 // block boundary, across a COW fork, after a prefix-trie hit) and the
 // engine-level regression that speculative requests reserve KV at the
 // verified-length bound, not prompt + max_new + draft_k.
@@ -25,7 +26,6 @@ using edgellm::testing::fill_row;
 using edgellm::testing::greedy_request;
 using edgellm::testing::iota_tokens;
 using edgellm::testing::paged_cfg;
-using edgellm::testing::paged_engine_cfg;
 using edgellm::testing::reference_greedy;
 using edgellm::testing::seq_tokens;
 using edgellm::testing::serve_batch;
@@ -318,7 +318,7 @@ TEST(SpeculativeDecode, ValidatesArguments) {
 
 // --- engine end to end: the differential sweep ------------------------------
 
-TEST(SpeculativeEngine, GreedyByteIdenticalAcrossPoolsThreadsKvAndKnobs) {
+TEST(SpeculativeEngine, GreedyByteIdenticalAcrossThreadsKvAndKnobs) {
   const nn::ModelConfig cfg = tiny_config();
   Rng rng(40);
   nn::CausalLm model(cfg, rng);
@@ -342,46 +342,43 @@ TEST(SpeculativeEngine, GreedyByteIdenticalAcrossPoolsThreadsKvAndKnobs) {
   cells.push_back({seq_tokens(2, cfg.vocab, 17), 8, 2, 8});  // prompt shorter than k
   cells.push_back({seq_tokens(5, cfg.vocab, 23), 3, 1, 8});  // max_tokens mid-draft
 
-  for (const bool paged : {false, true}) {
-    for (const int64_t threads : {1, 2, 8}) {
-      for (const bool quantize : {false, true}) {
-        EngineConfig ecfg = paged ? paged_engine_cfg(threads, /*block_tokens=*/5)
-                                  : engine_cfg(threads);
-        ecfg.quantize_kv = quantize;
-        ServeEngine engine(model, ecfg);
-        // One speculative and one plain full-depth request per cell, same
-        // prompt: the pair must produce byte-identical token streams.
-        std::vector<Request> reqs;
-        for (size_t c = 0; c < cells.size(); ++c) {
-          reqs.push_back(spec_request(static_cast<int64_t>(2 * c), cells[c].prompt,
-                                      cells[c].n_new, cells[c].depth, cells[c].k));
-          reqs.push_back(greedy_request(static_cast<int64_t>(2 * c + 1), cells[c].prompt,
-                                        cells[c].n_new));
-        }
-        const auto done = serve_batch(engine, std::move(reqs));
-        for (size_t c = 0; c < cells.size(); ++c) {
-          const Completion& spec = done[2 * c];
-          const Completion& full = done[2 * c + 1];
-          ASSERT_EQ(spec.status, RequestStatus::kOk)
-              << "paged=" << paged << " threads=" << threads << " quantize=" << quantize
-              << " cell=" << c << " err=" << spec.error;
-          ASSERT_EQ(full.status, RequestStatus::kOk);
-          EXPECT_EQ(spec.tokens, full.tokens)
-              << "paged=" << paged << " threads=" << threads << " quantize=" << quantize
-              << " depth=" << cells[c].depth << " k=" << cells[c].k;
-          if (!quantize) {
-            EXPECT_EQ(spec.tokens, reference_greedy(model, cells[c].prompt, cells[c].n_new));
-          }
-          EXPECT_EQ(spec.metrics.output_tokens, cells[c].n_new);
-          if (cells[c].k > 1) {
-            EXPECT_GT(spec.metrics.spec_drafted, 0);
-          }
-          EXPECT_GE(spec.metrics.spec_drafted, spec.metrics.spec_accepted);
-          EXPECT_EQ(full.metrics.spec_drafted, 0);
-        }
-        const EngineMetrics m = engine.metrics();
-        EXPECT_EQ(m.submitted, m.completed);  // conservation: nothing lost
+  for (const int64_t threads : {1, 2, 8}) {
+    for (const bool quantize : {false, true}) {
+      EngineConfig ecfg = engine_cfg(threads, /*max_batch=*/8, /*block_tokens=*/5);
+      ecfg.quantize_kv = quantize;
+      ServeEngine engine(model, ecfg);
+      // One speculative and one plain full-depth request per cell, same
+      // prompt: the pair must produce byte-identical token streams.
+      std::vector<Request> reqs;
+      for (size_t c = 0; c < cells.size(); ++c) {
+        reqs.push_back(spec_request(static_cast<int64_t>(2 * c), cells[c].prompt,
+                                    cells[c].n_new, cells[c].depth, cells[c].k));
+        reqs.push_back(greedy_request(static_cast<int64_t>(2 * c + 1), cells[c].prompt,
+                                      cells[c].n_new));
       }
+      const auto done = serve_batch(engine, std::move(reqs));
+      for (size_t c = 0; c < cells.size(); ++c) {
+        const Completion& spec = done[2 * c];
+        const Completion& full = done[2 * c + 1];
+        ASSERT_EQ(spec.status, RequestStatus::kOk)
+            << "threads=" << threads << " quantize=" << quantize << " cell=" << c
+            << " err=" << spec.error;
+        ASSERT_EQ(full.status, RequestStatus::kOk);
+        EXPECT_EQ(spec.tokens, full.tokens)
+            << "threads=" << threads << " quantize=" << quantize
+            << " depth=" << cells[c].depth << " k=" << cells[c].k;
+        EXPECT_EQ(spec.tokens, reference_greedy(model, cells[c].prompt, cells[c].n_new,
+                                                /*exit_layer=*/0, quantize))
+            << "threads=" << threads << " quantize=" << quantize << " cell=" << c;
+        EXPECT_EQ(spec.metrics.output_tokens, cells[c].n_new);
+        if (cells[c].k > 1) {
+          EXPECT_GT(spec.metrics.spec_drafted, 0);
+        }
+        EXPECT_GE(spec.metrics.spec_drafted, spec.metrics.spec_accepted);
+        EXPECT_EQ(full.metrics.spec_drafted, 0);
+      }
+      const EngineMetrics m = engine.metrics();
+      EXPECT_EQ(m.submitted, m.completed);  // conservation: nothing lost
     }
   }
 }
@@ -436,19 +433,18 @@ TEST(SpeculativeEngine, ProjectionAdmitsRequestThatOnlyFitsAtVerifiedBound) {
   ASSERT_LT(projected, cfg.max_seq);
   const int64_t bpp = nn::KvCache::bytes_per_position(cfg.n_layers, cfg.kv_dim(), false);
 
-  for (const bool paged : {false, true}) {
-    EngineConfig ecfg = paged ? paged_engine_cfg(1, /*block_tokens=*/1) : engine_cfg(1);
-    // Exactly the verified bound. With draft_k = 8, a projection of
-    // prompt + max_new + k (14 positions, 16 clamped to max_seq) would
-    // exceed this budget and reject the request outright.
-    ecfg.kv_byte_budget = projected * bpp;
-    ServeEngine engine(model, ecfg);
-    auto fut = engine.submit(spec_request(1, prompt, n_new, 2, /*k=*/8));
-    const Completion c = fut.get();
-    ASSERT_EQ(c.status, RequestStatus::kOk) << "paged=" << paged << " err=" << c.error;
-    EXPECT_EQ(c.tokens, reference_greedy(model, prompt, n_new)) << "paged=" << paged;
-    EXPECT_GT(c.metrics.spec_drafted, 0);
-  }
+  // One-position blocks: admission is charged per position.
+  EngineConfig ecfg = engine_cfg(1, /*max_batch=*/8, /*block_tokens=*/1);
+  // Exactly the verified bound. With draft_k = 8, a projection of
+  // prompt + max_new + k (14 positions, 16 clamped to max_seq) would
+  // exceed this budget and reject the request outright.
+  ecfg.kv_byte_budget = projected * bpp;
+  ServeEngine engine(model, ecfg);
+  auto fut = engine.submit(spec_request(1, prompt, n_new, 2, /*k=*/8));
+  const Completion c = fut.get();
+  ASSERT_EQ(c.status, RequestStatus::kOk) << c.error;
+  EXPECT_EQ(c.tokens, reference_greedy(model, prompt, n_new));
+  EXPECT_GT(c.metrics.spec_drafted, 0);
 }
 
 TEST(SpeculativeEngine, MetricsCountersAndHistogramsExported) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/voting.hpp"
 #include "nn/decoder.hpp"
 #include "nn/model.hpp"
 #include "nn/module.hpp"
@@ -273,7 +274,7 @@ inline JsonValue validate_chrome_trace(const std::string& json) {
 // --- Serve-engine differential scaffolding ----------------------------------
 //
 // The shared build-tiny-model -> submit-batch -> compare-completions kit
-// used by serve_test, kv_paged_test, serve_fault_test and speculative_test.
+// used by serve_test, kv_pool_test, serve_fault_test and speculative_test.
 // The load-bearing convention: every prompt/row generator is deterministic
 // in (index, salt), so any test can reproduce another's sequences exactly.
 
@@ -313,40 +314,28 @@ inline void feed_positions(nn::KvSequenceView& kv, int64_t n, int64_t depth, int
   }
 }
 
-inline serve::KvPoolConfig pool_cfg(int64_t slots, int64_t budget, bool quantize = false,
-                                    int64_t kv_dim = 16) {
+/// A standalone pool for at most 8 live sequences of up to 64 positions
+/// (with budget 0 that sizes its prefix-cache eviction limit).
+inline serve::KvPoolConfig paged_cfg(int64_t block_tokens, int64_t n_layers, int64_t kv_dim,
+                                     int64_t byte_budget, obs::Registry* reg = nullptr,
+                                     bool quantize = false) {
   serve::KvPoolConfig cfg;
-  cfg.n_slots = slots;
-  cfg.kv_dim = kv_dim;
-  cfg.byte_budget = budget;
-  cfg.quantize = quantize;
-  return cfg;
-}
-
-inline serve::PagedKvConfig paged_cfg(int64_t block_tokens, int64_t n_layers, int64_t kv_dim,
-                                      int64_t byte_budget, obs::Registry* reg = nullptr,
-                                      bool quantize = false) {
-  serve::PagedKvConfig cfg;
   cfg.block_tokens = block_tokens;
   cfg.n_layers = n_layers;
   cfg.kv_dim = kv_dim;
   cfg.byte_budget = byte_budget;
   cfg.quantize = quantize;
+  cfg.max_seqs = 8;
+  cfg.max_seq = 64;
   cfg.registry = reg;
   return cfg;
 }
 
-inline serve::EngineConfig engine_cfg(int64_t threads, int64_t max_batch = 8) {
+inline serve::EngineConfig engine_cfg(int64_t threads, int64_t max_batch = 8,
+                                      int64_t block_tokens = 16) {
   serve::EngineConfig cfg;
   cfg.max_batch = max_batch;
   cfg.threads = threads;
-  return cfg;
-}
-
-inline serve::EngineConfig paged_engine_cfg(int64_t threads, int64_t block_tokens = 4) {
-  serve::EngineConfig cfg;
-  cfg.threads = threads;
-  cfg.kv_paged = true;
   cfg.kv_block_tokens = block_tokens;
   return cfg;
 }
@@ -367,14 +356,42 @@ inline serve::Request greedy_request(int64_t id, std::vector<int64_t> prompt, in
 /// Greedy reference continuation through IncrementalDecoder.
 inline std::vector<int64_t> reference_greedy(nn::CausalLm& model,
                                              const std::vector<int64_t>& prompt, int64_t n_new,
-                                             int64_t exit_layer = 0) {
-  nn::IncrementalDecoder dec(model, exit_layer);
+                                             int64_t exit_layer = 0, bool quantize_kv = false) {
+  nn::IncrementalDecoder dec(model, exit_layer, quantize_kv);
   nn::GenerateConfig g;
   g.max_new_tokens = n_new;
   g.temperature = 0.0f;
   g.exit_layer = exit_layer;
   Rng rng(0);
   return dec.generate(prompt, g, rng);
+}
+
+/// Voted greedy reference: single-sequence all-exits decode over one
+/// nn::KvCache, combined with the engine's defaults (uniform weights, zero
+/// losses, default VoterConfig), greedy-picked per token.
+inline std::vector<int64_t> reference_voted(nn::CausalLm& model,
+                                            const std::vector<int64_t>& prompt, int64_t n_new,
+                                            bool quantize_kv = false) {
+  model.set_eval();
+  const nn::ModelConfig& cfg = model.config();
+  const size_t n_exits = model.exit_layers().size();
+  const std::vector<float> w(n_exits, 1.0f / static_cast<float>(n_exits));
+  const std::vector<float> losses(n_exits, 0.0f);
+  nn::KvCache cache(cfg.n_layers, cfg.kv_dim(), quantize_kv);
+  int64_t pos = 0;
+  std::vector<Tensor> exits;
+  for (const int64_t t : prompt) exits = nn::decode_step_all_exits(model, cache, pos++, t);
+  nn::GenerateConfig g;
+  g.temperature = 0.0f;
+  std::vector<int64_t> out;
+  for (int64_t i = 0; i < n_new; ++i) {
+    const Tensor voted =
+        core::combine_exit_logits(exits, w, losses, core::VoterConfig{}).reshape({cfg.vocab});
+    Rng r(0);
+    out.push_back(nn::sample_token(voted, g, r));
+    if (i + 1 < n_new) exits = nn::decode_step_all_exits(model, cache, pos++, out.back());
+  }
+  return out;
 }
 
 /// Stages every request while the engine is parked (so all of them join one
