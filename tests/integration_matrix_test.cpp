@@ -2,6 +2,8 @@
 // model) under every combination of the tuner's feature flags.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/pipeline.hpp"
 #include "data/eval.hpp"
 #include "test_util.hpp"
@@ -15,8 +17,15 @@ struct MatrixCase {
   int64_t window;        // <=0 = full depth
   bool checkpoint;
   bool quantized_optim;
+  // Fills the bytes that would otherwise be padding. gtest_discover_tests
+  // names each case after the param's raw bytes, so uninitialised padding
+  // gave the cases different names from one discovery to the next; these
+  // fixed values keep the names the suite has always reported.
+  uint8_t name_bytes[2];
   core::DepthSampling sampling;
 };
+static_assert(std::has_unique_object_representations_v<MatrixCase>,
+              "MatrixCase must have no padding: its bytes name the test cases");
 
 class TunerMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
@@ -60,15 +69,15 @@ TEST_P(TunerMatrix, AdaptationImprovesLoss) {
 INSTANTIATE_TEST_SUITE_P(
     AllFlagCombos, TunerMatrix,
     ::testing::Values(
-        MatrixCase{0, false, false, core::DepthSampling::kFinalOnly},
-        MatrixCase{0, true, false, core::DepthSampling::kFinalOnly},
-        MatrixCase{0, false, true, core::DepthSampling::kFinalOnly},
-        MatrixCase{0, true, true, core::DepthSampling::kFinalOnly},
-        MatrixCase{2, false, false, core::DepthSampling::kUniform},
-        MatrixCase{2, false, true, core::DepthSampling::kUniform},
-        MatrixCase{2, false, false, core::DepthSampling::kCyclic},
-        MatrixCase{2, false, false, core::DepthSampling::kLossWeighted},
-        MatrixCase{1, false, true, core::DepthSampling::kCyclic}));
+        MatrixCase{0, false, false, {0x00, 0}, core::DepthSampling::kFinalOnly},
+        MatrixCase{0, true, false, {0x00, 0}, core::DepthSampling::kFinalOnly},
+        MatrixCase{0, false, true, {0x04, 0}, core::DepthSampling::kFinalOnly},
+        MatrixCase{0, true, true, {0x70, 0}, core::DepthSampling::kFinalOnly},
+        MatrixCase{2, false, false, {0x00, 0}, core::DepthSampling::kUniform},
+        MatrixCase{2, false, true, {0x00, 0}, core::DepthSampling::kUniform},
+        MatrixCase{2, false, false, {0x04, 0}, core::DepthSampling::kCyclic},
+        MatrixCase{2, false, false, {0x55, 0}, core::DepthSampling::kLossWeighted},
+        MatrixCase{1, false, true, {0x00, 0}, core::DepthSampling::kCyclic}));
 
 // Pipeline-level matrix: compression on/off x voting modes, with quality
 // and artifact checks.
